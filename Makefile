@@ -15,7 +15,7 @@ check: vet
 		./internal/hazards/ ./internal/hp/ ./internal/core/ ./internal/ebr/ \
 		./internal/pebr/ ./internal/nbr/ ./internal/arena/ ./internal/smr/
 	$(GO) test -race -count=1 ./internal/netpoll/
-	$(GO) test -race -count=1 -run 'Netpoll|FrameReader' ./internal/kvsvc/
+	$(GO) test -race -count=1 -run 'Netpoll|FrameReader|Order|Evict|Churn|ReadFrame' ./internal/kvsvc/
 	$(GO) test -race -count=1 -run 'Scot|SCOT' \
 		./internal/hp/ ./internal/ds/hhslist/ ./internal/ds/hmlist/ ./internal/ds/somap/
 

@@ -6,9 +6,14 @@
 //
 //	gosmrd -addr :7070 -admin :7071 -shards 8 -scheme hp++
 //
+// Each request runs to completion on the goroutine that read it — the
+// connection's own goroutine, or with -netpoll its poller — so one
+// connection's requests execute in the order it sent them, and a
+// pipelined burst is answered with one write.
+//
 // SIGTERM/SIGINT trigger a graceful drain: stop accepting, let live
-// connections finish their pipelines (bounded by -drain-timeout), stop
-// the shard workers, run every scheme's final reclamation, and exit 0
+// connections finish their pipelines (bounded by -drain-timeout), run
+// every scheme's final reclamation, and exit 0
 // only if the drain was clean and — in -mode detect — the arena recorded
 // zero use-after-free or double-free violations. The final store-wide
 // stats snapshot is printed to stdout as JSON.
@@ -36,21 +41,17 @@ func main() {
 		shards  = flag.Int("shards", 8, "number of shards (one reclamation domain + map each)")
 		scheme  = flag.String("scheme", "hp++", "reclamation scheme: "+strings.Join(kvsvc.Schemes, " | "))
 		mode    = flag.String("mode", "reuse", "arena mode: reuse (serve) | detect (quarantine + UAF validation)")
-		workers = flag.Int("workers", 2, "worker goroutines per shard")
 		buckets = flag.Int("buckets", 256, "hash buckets per shard (initial directory size for -engine somap)")
 		engine  = flag.String("engine", "somap", "shard map engine: "+strings.Join(kvsvc.Engines, " | "))
-		queue   = flag.Int("queue", 256, "per-shard request queue depth")
 		drainT  = flag.Duration("drain-timeout", 10*time.Second, "max time to wait for live connections on shutdown")
 
-		maxConns  = flag.Int("max-conns", 1024, "max concurrent connections; accepts past the cap are shed (negative = unlimited)")
-		budget    = flag.Int("conn-budget", 128, "per-connection in-flight response budget; excess requests get StatusOverloaded")
-		idleT     = flag.Duration("idle-timeout", 2*time.Minute, "evict a connection idle this long (negative disables)")
-		writeT    = flag.Duration("write-timeout", 10*time.Second, "evict a connection whose response write stalls this long (negative disables)")
-		dispatchT = flag.Duration("dispatch-timeout", 20*time.Millisecond, "max wait for space on a full shard queue before shedding (negative = shed immediately)")
-		connWbuf  = flag.Int("conn-wbuf", 64<<10, "per-connection kernel send buffer cap in bytes (negative = kernel default)")
+		maxConns = flag.Int("max-conns", 1024, "max concurrent connections; accepts past the cap are shed (negative = unlimited)")
+		budget   = flag.Int("conn-budget", 128, "with -netpoll, per-connection budget of responses not yet written; excess requests get StatusOverloaded")
+		idleT    = flag.Duration("idle-timeout", 2*time.Minute, "evict a connection idle this long (negative disables)")
+		writeT   = flag.Duration("write-timeout", 10*time.Second, "evict a connection that leaves its responses untaken this long (negative disables)")
+		connWbuf = flag.Int("conn-wbuf", 64<<10, "per-connection kernel send buffer cap in bytes (negative = kernel default)")
 
-		readFast  = flag.Bool("read-fastpath", true, "execute GETs on the connection goroutine instead of the worker pipeline")
-		readCache = flag.Int("read-handle-cache", 0, "idle fast-path read handles pooled per shard across connections (0 = default, negative disables pooling)")
+		readCache = flag.Int("read-handle-cache", 0, "idle store handles pooled per shard across connections (0 = default, negative disables pooling)")
 
 		netpollF        = flag.Bool("netpoll", false, "serve connections on the event-driven poller layer (internal/netpoll) instead of per-connection goroutines")
 		pollers         = flag.Int("pollers", 0, "poller goroutines when -netpoll is set (0 = min(8, GOMAXPROCS))")
@@ -91,17 +92,12 @@ func main() {
 	srv, err := kvsvc.NewServer(store, kvsvc.ServerConfig{
 		Addr:            *addr,
 		AdminAddr:       *admin,
-		WorkersPerShard: *workers,
-		QueueDepth:      *queue,
 		MaxConns:        *maxConns,
 		ConnBudget:      *budget,
 		IdleTimeout:     *idleT,
 		WriteTimeout:    *writeT,
-		DispatchTimeout: *dispatchT,
 		ConnWriteBuffer: *connWbuf,
-
-		DisableReadFastPath: !*readFast,
-		ReadHandleCache:     *readCache,
+		ReadHandleCache: *readCache,
 
 		Netpoll:         *netpollF,
 		Pollers:         *pollers,

@@ -310,8 +310,8 @@ func main() {
 		adminStats = st
 		fmt.Printf("kvload: server %s ops=%d fastpath_gets=%d peak_unreclaimed=%d arena_peak_bytes=%d\n",
 			st.Scheme, st.ServedOps, st.FastpathGets, st.Total.PeakUnreclaimed, st.ArenaPeakBytes)
-		fmt.Printf("kvload: server shed_total=%d (budget=%d queue_full=%d conns=%d dropped=%d) evicted_idle=%d evicted_slow=%d\n",
-			st.ShedTotal, st.ShedBudget, st.ShedQueueFull, st.ShedConns, st.ShedDropped, st.EvictedIdle, st.EvictedSlow)
+		fmt.Printf("kvload: server shed_total=%d (budget=%d conns=%d dropped=%d) evicted_idle=%d evicted_slow=%d\n",
+			st.ShedTotal, st.ShedBudget, st.ShedConns, st.ShedDropped, st.EvictedIdle, st.EvictedSlow)
 		if st.ArenaUAF > 0 || st.ArenaDoubleFree > 0 {
 			fmt.Fprintf(os.Stderr, "kvload: ARENA VIOLATIONS: uaf=%d double_free=%d\n", st.ArenaUAF, st.ArenaDoubleFree)
 			os.Exit(1)
@@ -411,9 +411,13 @@ type slot struct {
 // that completes slots, schedules backoff resends for StatusOverloaded,
 // and enforces the per-request response deadline.
 func runConn(addr string, dialT time.Duration, p connParams) connResult {
-	c := dialRetry(addr, dialT)
+	var res connResult
+	c, br := dialAdmitted(addr, dialT, p, &res)
+	if c == nil {
+		res.failed += int64(p.ops)
+		return res
+	}
 	defer c.Close()
-	br := bufio.NewReader(c)
 	bw := bufio.NewWriter(c)
 
 	rng := rand.New(rand.NewSource(p.seed))
@@ -441,7 +445,6 @@ func runConn(addr string, dialT time.Duration, p connParams) connResult {
 	doneRecv := make(chan struct{}) // all ops completed
 	var outstanding atomic.Int64
 
-	var res connResult
 	res.lats = make([]int64, 0, p.ops)
 
 	var recvWG sync.WaitGroup
@@ -641,6 +644,35 @@ func dialRetry(addr string, d time.Duration) net.Conn {
 			os.Exit(1)
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// dialAdmitted dials addr and completes one ping round trip, proving
+// the connection got past the server's accept-time cap: a server at
+// MaxConns accepts and immediately closes. That close counts as a shed
+// and is retried with the StatusOverloaded backoff, up to p.maxRetries
+// times; nil means the retries ran out.
+func dialAdmitted(addr string, dialT time.Duration, p connParams, res *connResult) (net.Conn, *bufio.Reader) {
+	for tries := 1; ; tries++ {
+		c := dialRetry(addr, dialT)
+		br := bufio.NewReader(c)
+		c.SetDeadline(time.Now().Add(dialT))
+		_, err := c.Write(kvsvc.AppendRequest(nil, kvsvc.Request{Op: kvsvc.OpPing}))
+		if err == nil {
+			_, err = kvsvc.ReadFrame(br, nil)
+		}
+		if err == nil {
+			c.SetDeadline(time.Time{})
+			return c, br
+		}
+		c.Close()
+		res.shed++
+		if tries > p.maxRetries {
+			fmt.Fprintf(os.Stderr, "kvload: connection not admitted after %d retries: %v\n", p.maxRetries, err)
+			return nil, nil
+		}
+		res.retried++
+		time.Sleep(jitteredBackoff(p.backoff, p.backoffMax, tries))
 	}
 }
 

@@ -58,8 +58,9 @@ type CellResult struct {
 	// Engine is the shard map engine behind a service-layer cell
 	// (somap/hashmap); empty for in-process microbench cells.
 	Engine string `json:"engine,omitempty"`
-	// FastpathGets is how many GETs the server executed on the connection
-	// goroutine instead of the worker pipeline during the run.
+	// FastpathGets is the server's fastpath_gets counter after the run:
+	// every GET it executed (the name predates run-to-completion, when
+	// only some GETs bypassed the shard workers).
 	FastpathGets int64 `json:"fastpath_gets,omitempty"`
 	// PreloadedKeys is how many keys were bulk-loaded before the
 	// measured phase (0 = none).

@@ -15,9 +15,10 @@
 //   - HP: every protection must be validated against the root pointer and
 //     fails whenever ANY write committed — the cause of Bonsai's poor HP
 //     throughput in Figure 8.
-//   - HP++: protections fail only when a source node was invalidated, and
-//     the root CAS needs no frontier protection at all (the paper's
-//     "Bonsai does not require frontier protection").
+//   - HP++: protections fail only when a source node was invalidated; the
+//     root CAS protects the old nodes the new version reuses (its
+//     frontier) until the replaced path is invalidated, right after the
+//     CAS.
 //   - RC: every copied path node touches its children's counters, which
 //     is why RC collapses on Bonsai in the paper.
 package bonsai

@@ -10,10 +10,12 @@ import (
 
 // TreeHPP is the Bonsai tree under HP++. Protections are validated by
 // under-approximation — only an *invalidated* source node fails them — so
-// unrelated committed writes never force a restart, and the root CAS
-// needs no frontier protection at all (§5: "Bonsai does not require
-// frontier protection"): the replaced path is simply handed to TryUnlink
-// with an empty frontier.
+// unrelated committed writes never force a restart. Unlike §5's remark
+// that "Bonsai does not require frontier protection", the root CAS does
+// protect a frontier (see frontier): an old node reused by the new
+// version can be retired by the next writer while a reader still reaches
+// it through a replaced, not yet invalidated node. Without it the
+// detect-mode sweep caught use-after-free under concurrent writers.
 type TreeHPP struct {
 	pool Pool
 	root atomic.Uint64
@@ -31,9 +33,11 @@ func (t *TreeHPP) NewHandleHPP(dom *core.Domain) *HandleHPP {
 
 // HandleHPP is a per-worker handle; not safe for concurrent use.
 type HandleHPP struct {
-	t *TreeHPP
-	h *core.Thread
-	b builder
+	t     *TreeHPP
+	h     *core.Thread
+	b     builder
+	rootW tagptr.Word // root word the current write attempt started from
+	front []uint64    // frontier scratch for commit
 }
 
 // Thread exposes the underlying HP++ thread.
@@ -49,12 +53,23 @@ func (h *HandleHPP) enter(depth int, ref, parent uint64, fromLeft bool) (view, b
 		return view{}, false // out of slots: abort the attempt
 	}
 	slot := depth
-	if parent == 0 {
+	switch {
+	case parent == 0:
 		r := ref
 		if !h.h.TryProtect(slot, &r, nil, &h.t.root) || r != ref {
 			return view{}, false // root moved: restart the attempt
 		}
-	} else {
+	case h.b.isNew(parent):
+		// parent is this attempt's private copy (a rotation input). It is
+		// never invalidated, so it cannot vouch for ref, and ref's
+		// earlier protection may already have been overwritten. ref is a
+		// node of the snapshot rooted at rootW; while the root still
+		// holds that word no writer has retired any node of it.
+		h.h.Protect(slot, ref)
+		if h.t.root.Load() != h.rootW {
+			return view{}, false
+		}
+	default:
 		pn := h.t.pool.Deref(parent)
 		link := &pn.right
 		if fromLeft {
@@ -113,10 +128,28 @@ retry:
 	return 0, false
 }
 
+// frontier lists the old nodes the new version links to. A reader still
+// inside the replaced path reaches them through replaced nodes, which
+// validate its protections until they are invalidated — and HP++ defers
+// invalidation — while another writer may retire them meanwhile. So
+// TryUnlink must protect them across the unlink.
+func (h *HandleHPP) frontier() []uint64 {
+	h.front = h.front[:0]
+	for _, n := range h.b.newNodes {
+		nd := h.t.pool.Deref(n)
+		for _, c := range [2]uint64{tagptr.RefOf(nd.left.Load()), tagptr.RefOf(nd.right.Load())} {
+			if c != 0 && !h.b.isNew(c) {
+				h.front = append(h.front, c)
+			}
+		}
+	}
+	return h.front
+}
+
 func (h *HandleHPP) commit(oldW tagptr.Word, newRoot uint64) bool {
 	root := &h.t.root
 	pool := h.t.pool
-	ok := h.h.TryUnlink(nil, func() ([]smr.Retired, bool) {
+	ok := h.h.TryUnlink(h.frontier(), func() ([]smr.Retired, bool) {
 		if !root.CompareAndSwap(oldW, tagptr.Pack(newRoot, 0)) {
 			return nil, false
 		}
@@ -126,6 +159,13 @@ func (h *HandleHPP) commit(oldW tagptr.Word, newRoot uint64) bool {
 		}
 		return rs, true
 	}, pool)
+	if ok {
+		// Invalidate now instead of in HP++'s usual batch: the frontier
+		// (a whole path's worth of siblings) stays protected only until
+		// then, so the registry stays small, and the window in which a
+		// replaced node still validates readers closes at once.
+		h.h.DoInvalidation()
+	}
 	return ok
 }
 
@@ -135,6 +175,7 @@ func (h *HandleHPP) Insert(key, val uint64) bool {
 	for {
 		h.b.reset()
 		oldW := h.t.root.Load()
+		h.rootW = oldW
 		oldRoot := tagptr.RefOf(oldW)
 		newRoot, _, existed := h.b.insertRec(0, oldRoot, 0, true, key, val)
 		if !h.b.ok {
@@ -158,6 +199,7 @@ func (h *HandleHPP) Delete(key uint64) bool {
 	for {
 		h.b.reset()
 		oldW := h.t.root.Load()
+		h.rootW = oldW
 		oldRoot := tagptr.RefOf(oldW)
 		newRoot, _, found := h.b.deleteRec(0, oldRoot, 0, true, key)
 		if !h.b.ok {

@@ -2,8 +2,8 @@ package kvsvc
 
 import "sync"
 
-// readHandlePool caches per-shard store handles for the connection-
-// goroutine GET fast path. Handles are single-owner objects (they carry a
+// handlePool caches per-shard store handles for the goroutines that
+// execute requests. Handles are single-owner objects (they carry a
 // hazard thread or an epoch guard), so connections cannot share one
 // concurrently — but a connection that closes can hand its handles to the
 // next connection instead of paying handle construction (slot acquisition,
@@ -15,7 +15,7 @@ import "sync"
 // store outright (ReleaseShardHandle returns the hazard slots / epoch
 // record to the domain). Either way the registry footprint tracks peak
 // concurrency, not connections ever accepted.
-type readHandlePool struct {
+type handlePool struct {
 	store *Store
 	max   int // idle handles kept per shard; <= 0 disables caching
 
@@ -23,8 +23,8 @@ type readHandlePool struct {
 	idle [][]Handle
 }
 
-func newReadHandlePool(store *Store, maxIdle int) *readHandlePool {
-	return &readHandlePool{
+func newHandlePool(store *Store, maxIdle int) *handlePool {
+	return &handlePool{
 		store: store,
 		max:   maxIdle,
 		idle:  make([][]Handle, store.NumShards()),
@@ -33,7 +33,7 @@ func newReadHandlePool(store *Store, maxIdle int) *readHandlePool {
 
 // get returns a handle bound to shard i, reusing an idle one when
 // available.
-func (p *readHandlePool) get(i int) Handle {
+func (p *handlePool) get(i int) Handle {
 	p.mu.Lock()
 	if n := len(p.idle[i]); n > 0 {
 		h := p.idle[i][n-1]
@@ -48,7 +48,7 @@ func (p *readHandlePool) get(i int) Handle {
 
 // put returns a shard-i handle to the cache, releasing it to the store
 // when the shard's idle set is full. The caller must not use h afterwards.
-func (p *readHandlePool) put(i int, h Handle) {
+func (p *handlePool) put(i int, h Handle) {
 	p.mu.Lock()
 	if len(p.idle[i]) < p.max {
 		p.idle[i] = append(p.idle[i], h)
@@ -62,7 +62,7 @@ func (p *readHandlePool) put(i int, h Handle) {
 // drain releases every idle handle back to the store. Call after the last
 // connection is gone and before Store.Drain so the store's final
 // reclamation pass sees no live pool handles.
-func (p *readHandlePool) drain() {
+func (p *handlePool) drain() {
 	p.mu.Lock()
 	idle := p.idle
 	p.idle = make([][]Handle, len(idle))
@@ -74,37 +74,27 @@ func (p *readHandlePool) drain() {
 	}
 }
 
-// idleCount reports the pooled (idle) handle total, for tests.
-func (p *readHandlePool) idleCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, hs := range p.idle {
-		n += len(hs)
-	}
-	return n
-}
-
-// connReadHandles is one connection's lazily-acquired per-shard read
-// handle set: the read loop borrows a shard's handle from the pool on the
-// first get routed there and returns everything at teardown.
-type connReadHandles struct {
-	pool *readHandlePool
+// connHandles is one lazily-acquired per-shard handle set, owned by one
+// connection goroutine or one netpoll poller: it borrows a shard's
+// handle from the pool on the first request routed there and returns
+// everything at release.
+type connHandles struct {
+	pool *handlePool
 	hs   []Handle
 }
 
-func newConnReadHandles(pool *readHandlePool) *connReadHandles {
-	return &connReadHandles{pool: pool, hs: make([]Handle, pool.store.NumShards())}
+func newConnHandles(pool *handlePool) *connHandles {
+	return &connHandles{pool: pool, hs: make([]Handle, pool.store.NumShards())}
 }
 
-func (r *connReadHandles) handle(i int) Handle {
+func (r *connHandles) handle(i int) Handle {
 	if r.hs[i] == nil {
 		r.hs[i] = r.pool.get(i)
 	}
 	return r.hs[i]
 }
 
-func (r *connReadHandles) release() {
+func (r *connHandles) release() {
 	for i, h := range r.hs {
 		if h != nil {
 			r.pool.put(i, h)

@@ -15,7 +15,7 @@
 //   - reclamation pressure is confined: a stalled or slow reader on one
 //     shard bounds that shard's garbage, not the whole store's;
 //   - hazard registries and epoch record lists stay small, so Reclaim
-//     scans and Collect walks stay proportional to one shard's workers;
+//     scans and Collect walks stay proportional to one shard's handles;
 //   - per-shard smr.Stats gauges make imbalance observable from the
 //     admin endpoint (one hot shard shows up as one hot row).
 //
@@ -26,7 +26,8 @@
 // 1/Shards of the shard's buckets.
 //
 // The Store is the embeddable core; Server in server.go fronts it with
-// the wire protocol, per-shard worker pools and the admin endpoint.
+// the wire protocol, run-to-completion request execution and the admin
+// endpoint.
 package kvsvc
 
 import (
@@ -51,7 +52,7 @@ import (
 
 // Schemes lists the reclamation schemes a Store can run on — the bench
 // registry (bench.Schemes) minus RC, whose guards retain cross-bucket
-// traces that the service's long-lived worker handles would never drain
+// traces that the service's long-lived pooled handles would never drain
 // promptly. A pin test (schemes_test.go) enforces the "registry minus
 // rc" relation so new schemes cannot be silently dropped here.
 var Schemes = []string{"nr", "ebr", "pebr", "nbr", "hp", "hp++", "hp++ef", "hp-scot"}
@@ -491,7 +492,7 @@ func stallHazard(newThread func() hazardThread) (stall, release func()) {
 // Store is the sharded key-value store: Config.Shards independent
 // (reclamation domain, hash map) pairs behind a key router. Methods on
 // the Store itself are safe for concurrent use; the Handles it hands out
-// are per-worker.
+// are single-owner.
 type Store struct {
 	cfg    Config
 	shards []*shard
@@ -565,8 +566,8 @@ func (s *Store) NewHandle() Handle {
 	return h
 }
 
-// NewShardHandle returns a per-worker handle bound to shard i only — the
-// server's shard workers use these so each worker participates in exactly
+// NewShardHandle returns a handle bound to shard i only — the server's
+// handle pool hands these out, so each handle participates in exactly
 // one domain. The caller must route only shard-i keys through it.
 func (s *Store) NewShardHandle(i int) Handle {
 	s.mu.Lock()
@@ -619,9 +620,9 @@ func (s *Store) ReleaseHandle(h Handle) {
 
 // LiveHandles returns the number of handles handed out and not yet
 // released (routed handles count once per shard). A serving Store should
-// see this stabilize at workers + pooled readers; growth proportional to
-// connections ever accepted is the leak ReleaseShardHandle exists to
-// prevent.
+// see this stabilize at peak connections (or pollers) times shards
+// touched, plus the pool; growth proportional to connections ever
+// accepted is the leak ReleaseShardHandle exists to prevent.
 func (s *Store) LiveHandles() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

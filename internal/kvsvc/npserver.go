@@ -1,27 +1,23 @@
 // Netpoll-mode serving: the event-driven connection layer.
 //
-// In goroutine mode every connection costs a reader + writer goroutine
-// plus bufio buffers. In netpoll mode (ServerConfig.Netpoll) a fixed
-// set of poller goroutines owns readiness for every connection:
-// OnData feeds an incremental FrameReader, decoded frames run the same
-// dispatch as serveConn — ping lane, credit gate, GET fast path, shard
-// queues — and responses leave through the conn's nonblocking outbound
-// buffer. Per-connection state shrinks to an npConn (a few words plus a
-// lazily-grown decode carry), which is what makes 100k mostly-idle
-// conns cost megabytes instead of gigabytes.
+// In goroutine mode every connection costs a goroutine plus a bufio
+// read buffer. In netpoll mode (ServerConfig.Netpoll) a fixed set of
+// poller goroutines owns readiness for every connection: OnData feeds
+// an incremental FrameReader, and each decoded frame runs to completion
+// on the poller — ping lane, credit gate, then execute on the poller's
+// handle set — with its response leaving through the conn's nonblocking
+// outbound buffer. Per-connection state shrinks to an npConn (a few
+// words plus a lazily-grown decode carry), which is what makes 100k
+// mostly-idle conns cost megabytes instead of gigabytes.
 //
-// Capacity proof delta vs serveConn (see DESIGN.md "Event-driven
-// connection layer"): the credit/budget invariant is preserved with the
-// same B-bound per lane, but the 2B response channel becomes a byte
-// buffer bounded by (2B messages) × 17 bytes, and credits are released
-// by OnFlushed when a credited response's bytes have fully reached the
-// kernel — a strictly stronger release point than the goroutine
-// writer's post-bufio.Write. Two behavioral deltas: (1) DispatchTimeout
-// does not apply — a poller must never sleep on a full shard queue, so
-// queue-full sheds StatusOverloaded immediately; (2) the GET fast path
-// uses per-POLLER handle sets (pollerRH), not per-conn ones, so the
-// registry holds O(pollers × shards) fast-path handles no matter how
-// many conns are parked — the idle-fleet twin of the paper's
+// Contract deltas vs serveConn (see DESIGN.md "Event-driven connection
+// layer"): (1) WriteMsg never blocks, so a conn that stops reading would
+// grow its outbound buffer without bound; the ConnBudget credit gate
+// caps it at (2B messages) × 17 bytes, with credits released by
+// OnFlushed once a response's bytes have fully reached the kernel. (2)
+// Requests execute on per-POLLER handle sets (pollerHandles), not
+// per-conn ones, so the registry holds O(pollers × shards) handles no
+// matter how many conns are parked — the idle-fleet twin of the paper's
 // bounded-garbage guarantee.
 package kvsvc
 
@@ -54,22 +50,12 @@ type npConn struct {
 
 	fr FrameReader // incremental decode state; poller-owned
 
-	// credits is the in-flight budget: decremented by dispatch (CAS,
-	// only on the conn's poller), incremented by OnFlushed when a
+	// credits is the in-flight budget: decremented by dispatch (only on
+	// the conn's poller), incremented by OnFlushed when a
 	// credited response has fully reached the kernel.
 	credits atomic.Int64
-	// uncredited bounds the shed/ping lane, exactly as in serveConn.
+	// uncredited bounds the shed/ping lane at ConnBudget messages.
 	uncredited atomic.Int64
-	// inflight counts requests handed to shard queues whose response
-	// has not yet been buffered; drain waits for zero.
-	inflight atomic.Int64
-
-	// pending[i] counts this conn's not-yet-executed mutations on shard
-	// i (the read-your-writes gate, as in serveConn). Allocated on the
-	// first mutation: parked idle conns — the 100k case — never pay for
-	// it. Poller-owned for writes on the dispatch side; workers only
-	// decrement through the *atomic.Int64 they were handed.
-	pending []atomic.Int64
 }
 
 // OnRegister runs inside Poll.Register: bind the Conn and make the
@@ -90,7 +76,7 @@ func (nc *npConn) OnData(_ netpoll.Conn, p []byte) error {
 	return nc.fr.Feed(p, nc.dispatch)
 }
 
-// dispatch is serveConn's per-frame logic on the poller callback.
+// dispatch runs one frame to completion on the poller callback.
 func (nc *npConn) dispatch(payload []byte) error {
 	s := nc.s
 	req, err := DecodeRequest(payload)
@@ -100,17 +86,25 @@ func (nc *npConn) dispatch(payload []byte) error {
 	budget := int64(s.cfg.ConnBudget)
 
 	if req.Op == OpPing {
-		// Uncredited lane, same B-bound and drop rule as serveConn.
+		// Pings ride the uncredited lane and never consume budget: a
+		// keepalive must not compete with data responses for credits, or
+		// a saturated-but-healthy connection would read StatusOverloaded
+		// for its liveness probe (see the OpPing contract in wire.go). If
+		// even this lane is full the peer is not reading and the ping is
+		// dropped, counted.
 		if nc.uncredited.Load() < budget {
 			nc.uncredited.Add(1)
-			nc.send(Response{ID: req.ID, Status: StatusOK}, false)
+			s.served.Add(1)
+			nc.send(s.execute(nil, req), false)
 		} else {
 			s.shedDropped.Add(1)
 		}
 		return nil
 	}
 
-	if !nc.takeCredit() {
+	// Only this poller takes credits, so the check-then-take cannot race
+	// below zero; OnFlushed returns them from any goroutine.
+	if nc.credits.Load() <= 0 {
 		s.shedBudget.Add(1)
 		if nc.uncredited.Load() < budget {
 			nc.uncredited.Add(1)
@@ -120,64 +114,22 @@ func (nc *npConn) dispatch(payload []byte) error {
 		}
 		return nil
 	}
+	nc.credits.Add(-1)
 
-	i := s.store.ShardOf(req.Key)
-	if !s.cfg.DisableReadFastPath && req.Op == OpGet &&
-		(nc.pending == nil || nc.pending[i].Load() == 0) {
-		// GET fast path on the poller callback: the handle comes from
-		// the POLLER's lazily-filled per-shard set — never blocking,
-		// never per-conn. OnData serialization makes the set
-		// single-owner; see pollerRH.
-		h := s.pollerRH[nc.c.Poller()].handle(i)
-		nc.send(execute(h, req), true)
-		s.served.Add(1)
-		s.fastGets.Add(1)
-		return nil
+	// The handle set belongs to the POLLER: OnData serialization makes it
+	// single-owner, and a parked conn pins no handle.
+	resp := s.execute(s.pollerHandles[nc.c.Poller()], req)
+	s.served.Add(1)
+	if req.Op == OpGet {
+		s.gets.Add(1)
 	}
-
-	if isMutation(req.Op) {
-		if nc.pending == nil {
-			nc.pending = make([]atomic.Int64, s.store.NumShards())
-		}
-		nc.pending[i].Add(1)
-	}
-	r := request{req: req, nc: nc}
-	if isMutation(req.Op) {
-		r.pending = &nc.pending[i]
-	}
-	nc.inflight.Add(1)
-	select {
-	case s.queues[i] <- r:
-	default:
-		// A poller goroutine must never sleep on a full shard queue —
-		// it is multiplexing thousands of other conns — so netpoll mode
-		// sheds immediately where serveConn would wait DispatchTimeout.
-		nc.inflight.Add(-1)
-		if r.pending != nil {
-			r.pending.Add(-1) // shed, never executed
-		}
-		s.shedQueueFull.Add(1)
-		nc.send(Response{ID: req.ID, Status: StatusOverloaded}, true)
-	}
+	nc.send(resp, true)
 	return nil
 }
 
-// takeCredit claims one budget credit if any remain.
-func (nc *npConn) takeCredit() bool {
-	for {
-		v := nc.credits.Load()
-		if v <= 0 {
-			return false
-		}
-		if nc.credits.CompareAndSwap(v, v-1) {
-			return true
-		}
-	}
-}
-
 // send buffers one response on the conn. Never blocks: WriteMsg pushes
-// what the kernel takes and keeps the rest in the bounded outbound
-// buffer (≤ 2B messages by the capacity invariant). A closed conn eats
+// what the kernel takes and keeps the rest in the outbound buffer,
+// which the two B-bounded lanes cap at 2B messages. A closed conn eats
 // the response — its requester is gone.
 func (nc *npConn) send(resp Response, credited bool) {
 	var b [hdrLen + respLen]byte
@@ -208,10 +160,8 @@ func (nc *npConn) OnClose(c netpoll.Conn, err error) {
 	case errors.Is(err, netpoll.ErrIdleTimeout):
 		s.evictedIdle.Add(1)
 	case errors.Is(err, netpoll.ErrWriteStall):
-		s.evictedSlow.Add(1)
-		if q, ok := c.Outq(); ok {
-			s.recordEvictedOutq(q)
-		}
+		q, _ := c.Outq()
+		s.evictSlow(q)
 	}
 	s.npMu.Lock()
 	delete(s.npConns, nc)
@@ -238,10 +188,9 @@ func (s *Server) acceptNetpoll(c net.Conn) {
 }
 
 // drainNetpoll is Shutdown's netpoll branch: wait (bounded by ctx) for
-// every accepted request to execute and every buffered response byte to
-// reach the kernel, then close all conns and join the pollers. After it
-// returns no poller or worker can touch a conn, so the shard queues can
-// close.
+// every buffered response byte to reach the kernel, then close all conns
+// and join the pollers. Requests execute inside OnData, so a response is
+// buffered before its poller reads the next chunk.
 func (s *Server) drainNetpoll(ctx context.Context) {
 	tick := time.NewTicker(2 * time.Millisecond)
 	defer tick.Stop()
@@ -266,15 +215,13 @@ waitQuiesce:
 	s.poll.Close()
 }
 
-// npQuiesced reports whether every live conn has zero in-flight
-// requests and an empty outbound buffer. inflight is decremented AFTER
-// the worker buffers the response (see shardWorker), so "inflight==0
-// then Buffered()==0" cannot race a response into a closing conn.
+// npQuiesced reports whether every live conn has an empty outbound
+// buffer.
 func (s *Server) npQuiesced() bool {
 	s.npMu.Lock()
 	defer s.npMu.Unlock()
 	for nc := range s.npConns {
-		if nc.inflight.Load() != 0 || nc.c.Buffered() > 0 {
+		if nc.c.Buffered() > 0 {
 			return false
 		}
 	}

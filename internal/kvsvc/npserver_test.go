@@ -1,11 +1,11 @@
 package kvsvc
 
 // Netpoll-mode server tests: the same wire contracts as goroutine mode
-// (end-to-end ops, garbage handling, read-your-writes, budget shedding,
-// ping-at-budget), run over BOTH netpoll backends where available, plus
-// the mode's own obligations — idle eviction through the timer wheel,
-// bounded goroutines, and flat handle registries under churn and parked
-// idle fleets (the per-poller fast-path handle rule).
+// (end-to-end ops, garbage handling, read-your-writes), run over BOTH
+// netpoll backends where available, plus the mode's own obligations —
+// budget shedding and ping-at-budget, idle eviction through the timer
+// wheel, bounded goroutines, and flat handle registries under churn and
+// parked idle fleets (the per-poller handle rule).
 
 import (
 	"context"
@@ -83,10 +83,7 @@ func warmFleet(t *testing.T, srv *Server, n int) {
 func TestNetpollEndToEnd(t *testing.T) {
 	for _, b := range netpollBackends() {
 		t.Run(b.name, func(t *testing.T) {
-			srv, _ := startNetpoll(t, "hp++", b.portable, ServerConfig{
-				AdminAddr:       "127.0.0.1:0",
-				WorkersPerShard: 1,
-			})
+			srv, _ := startNetpoll(t, "hp++", b.portable, ServerConfig{AdminAddr: "127.0.0.1:0"})
 			tc := dialClient(t, srv.Addr())
 			tc.c.SetReadDeadline(time.Now().Add(10 * time.Second))
 
@@ -178,7 +175,7 @@ func TestNetpollEndToEnd(t *testing.T) {
 func TestNetpollDropsGarbageConnection(t *testing.T) {
 	for _, b := range netpollBackends() {
 		t.Run(b.name, func(t *testing.T) {
-			srv, _ := startNetpoll(t, "ebr", b.portable, ServerConfig{WorkersPerShard: 1})
+			srv, _ := startNetpoll(t, "ebr", b.portable, ServerConfig{})
 
 			bad := dialClient(t, srv.Addr())
 			bad.c.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0x02})
@@ -201,16 +198,13 @@ func TestNetpollDropsGarbageConnection(t *testing.T) {
 	}
 }
 
-// TestNetpollReadYourWrites: the per-conn pending-mutation gate must
-// hold when dispatch runs on a poller callback: a pipelined put;get on
-// one key always observes the put.
+// TestNetpollReadYourWrites: with requests running to completion on the
+// poller callback, a pipelined put;get on one key always observes the
+// put.
 func TestNetpollReadYourWrites(t *testing.T) {
 	for _, b := range netpollBackends() {
 		t.Run(b.name, func(t *testing.T) {
-			srv, _ := startNetpoll(t, "hp++", b.portable, ServerConfig{
-				WorkersPerShard: 1,
-				ConnBudget:      64,
-			})
+			srv, _ := startNetpoll(t, "hp++", b.portable, ServerConfig{ConnBudget: 64})
 			tc := dialClient(t, srv.Addr())
 			tc.c.SetReadDeadline(time.Now().Add(30 * time.Second))
 
@@ -231,8 +225,8 @@ func TestNetpollReadYourWrites(t *testing.T) {
 			if got := tc.recv(1); got[1000].Status != StatusOK || got[1000].Val != 149 {
 				t.Fatalf("drained-pipeline get = %+v, want val 149", got[1000])
 			}
-			if srv.FastGets() == 0 {
-				t.Fatal("no get ever took the fast path")
+			if srv.gets.Load() != 151 {
+				t.Fatalf("gets = %d, want 151", srv.gets.Load())
 			}
 			tc.c.Close()
 			shutdownClean(t, srv, 5*time.Second)
@@ -240,60 +234,57 @@ func TestNetpollReadYourWrites(t *testing.T) {
 	}
 }
 
-// TestNetpollBudgetShedAndPing: credit gate and uncredited ping lane
-// under a parked worker, netpoll edition of TestPingUncreditedAtBudget.
+// TestNetpollBudgetShedAndPing: the credit gate and the uncredited ping
+// lane. A credit is held by a response until its bytes reach the kernel
+// (OnFlushed), so a peer that stops reading ends up with every credit
+// held by responses waiting in the outbound buffer. The test puts the
+// conn in that state directly — filling real socket buffers with 17-byte
+// responses stalls loopback TCP in both directions on some kernels — and
+// checks that the next data request is shed StatusOverloaded while a
+// ping is still answered, and that returned credits readmit requests.
 func TestNetpollBudgetShedAndPing(t *testing.T) {
 	for _, b := range netpollBackends() {
 		t.Run(b.name, func(t *testing.T) {
-			st, err := NewStore(Config{Shards: 1, Scheme: "hp++", Mode: arena.ModeDetect, Buckets: 32})
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv, err := NewServer(st, ServerConfig{
-				Addr:            "127.0.0.1:0",
-				Netpoll:         true,
-				NetpollPortable: b.portable,
-				Pollers:         1,
-				WorkersPerShard: 1,
-				QueueDepth:      64,
-				ConnBudget:      2,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			go srv.Serve()
-
+			const budget = 2
+			srv, _ := startNetpoll(t, "hp++", b.portable, ServerConfig{ConnBudget: budget})
 			tc := dialClient(t, srv.Addr())
 			tc.c.SetReadDeadline(time.Now().Add(10 * time.Second))
 			tc.send(Request{Op: OpPut, ID: 1, Key: 1, Val: 11})
 			tc.recv(1)
 
-			parked, release := parkFirstDeref(st)
-			defer release()
-			tc.send(Request{Op: OpPut, ID: 2, Key: 2, Val: 22}) // parks the worker, holds credit 1
-			select {
-			case <-parked:
-			case <-time.After(2 * time.Second):
-				t.Fatal("worker never parked")
+			srv.npMu.Lock()
+			var nc *npConn
+			for c := range srv.npConns {
+				nc = c
 			}
-			tc.send(Request{Op: OpPut, ID: 3, Key: 3, Val: 33}) // queued, holds credit 2
+			srv.npMu.Unlock()
+			deadline := time.Now().Add(5 * time.Second)
+			for nc.credits.Load() != budget { // the put's OnFlushed may trail its bytes
+				if time.Now().After(deadline) {
+					t.Fatalf("credits = %d, want %d after the put flushed", nc.credits.Load(), budget)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			nc.credits.Store(0) // every credit held by an unflushed response
 
-			tc.send(Request{Op: OpGet, ID: 4, Key: 1}, Request{Op: OpPing, ID: 5})
+			tc.send(Request{Op: OpGet, ID: 4, Key: 1}, Request{Op: OpPing, ID: 5, Val: 42})
 			got := tc.recv(2)
 			if got[4].Status != StatusOverloaded {
 				t.Fatalf("data request at budget: status %d, want StatusOverloaded", got[4].Status)
 			}
-			if got[5].Status != StatusOK {
-				t.Fatalf("ping at budget: status %d, want StatusOK (uncredited lane)", got[5].Status)
+			if got[5].Status != StatusOK || got[5].Val != 42 {
+				t.Fatalf("ping at budget: %+v, want StatusOK echoing 42 (uncredited lane)", got[5])
+			}
+			if n := srv.Snapshot().ShedBudget; n != 1 {
+				t.Fatalf("shed_budget = %d, want 1", n)
 			}
 
-			release()
-			got = tc.recv(2)
-			if got[2].Status != StatusOK || got[3].Status != StatusOK {
-				t.Fatalf("parked puts resolved wrong: %+v %+v", got[2], got[3])
+			nc.credits.Store(budget) // the held responses reached the kernel
+			tc.send(Request{Op: OpGet, ID: 6, Key: 1})
+			if got := tc.recv(1)[6]; got.Status != StatusOK || got.Val != 11 {
+				t.Fatalf("get after credits returned: %+v", got)
 			}
 
-			clearDerefHooks(st)
 			tc.c.Close()
 			shutdownClean(t, srv, 5*time.Second)
 		})
@@ -305,10 +296,7 @@ func TestNetpollBudgetShedAndPing(t *testing.T) {
 func TestNetpollIdleEviction(t *testing.T) {
 	for _, b := range netpollBackends() {
 		t.Run(b.name, func(t *testing.T) {
-			srv, _ := startNetpoll(t, "hp++", b.portable, ServerConfig{
-				WorkersPerShard: 1,
-				IdleTimeout:     200 * time.Millisecond,
-			})
+			srv, _ := startNetpoll(t, "hp++", b.portable, ServerConfig{IdleTimeout: 200 * time.Millisecond})
 			tc := dialClient(t, srv.Addr())
 			tc.c.SetReadDeadline(time.Now().Add(10 * time.Second))
 			tc.send(Request{Op: OpPut, ID: 1, Key: 1, Val: 11})
@@ -342,10 +330,7 @@ func TestNetpollIdleEviction(t *testing.T) {
 func TestNetpollChurnAndIdleParkStabilizesRegistry(t *testing.T) {
 	for _, b := range netpollBackends() {
 		t.Run(b.name, func(t *testing.T) {
-			srv, st := startNetpoll(t, "hp++", b.portable, ServerConfig{
-				WorkersPerShard: 1,
-				ConnBudget:      64,
-			})
+			srv, st := startNetpoll(t, "hp++", b.portable, ServerConfig{ConnBudget: 64})
 			tc := dialClient(t, srv.Addr())
 			tc.c.SetReadDeadline(time.Now().Add(10 * time.Second))
 			tc.send(Request{Op: OpPut, ID: 1, Key: 1, Val: 11})
@@ -384,8 +369,8 @@ func TestNetpollChurnAndIdleParkStabilizesRegistry(t *testing.T) {
 			if endHandles > midHandles {
 				t.Fatalf("live handles grew with conns: %d -> %d", midHandles, endHandles)
 			}
-			if srv.FastGets() == 0 {
-				t.Fatal("churn traffic never hit the fast path")
+			if srv.gets.Load() == 0 {
+				t.Fatal("churn traffic never ran a get")
 			}
 			for _, pc := range parked {
 				pc.c.Close()
@@ -409,7 +394,6 @@ func TestNetpollChurnStabilizesEBRRecords(t *testing.T) {
 				Netpoll:         true,
 				NetpollPortable: b.portable,
 				Pollers:         2,
-				WorkersPerShard: 1,
 				ReadHandleCache: -1,
 			})
 			if err != nil {
@@ -442,7 +426,7 @@ func TestNetpollChurnStabilizesEBRRecords(t *testing.T) {
 func TestNetpollShutdownForcesStragglers(t *testing.T) {
 	for _, b := range netpollBackends() {
 		t.Run(b.name, func(t *testing.T) {
-			srv, _ := startNetpoll(t, "hp++", b.portable, ServerConfig{WorkersPerShard: 1})
+			srv, _ := startNetpoll(t, "hp++", b.portable, ServerConfig{})
 			straggler := dialClient(t, srv.Addr())
 			straggler.c.SetReadDeadline(time.Now().Add(10 * time.Second))
 			straggler.send(Request{Op: OpPut, ID: 1, Key: 1, Val: 1})

@@ -1,22 +1,17 @@
 package kvsvc
 
 // Overload-protection and connection-hygiene tests: the misbehaving
-// client matrix (idle, slow-reader, burst-past-budget), the queue-full
-// shedding regressions, and the drain-ordering regression. The shared
-// adversary is a parked shard worker — the deref hook parks the worker
-// mid-traversal exactly like the stress harness's stalled reader, which
-// makes "the queue stays full" deterministic instead of a timing race.
-// Tests that park the worker with a GET set DisableReadFastPath so the
-// GET actually reaches the worker (with the fast path on, the deref hook
-// would park the connection's reader goroutine instead — that adversary
-// has its own coverage in fastpath_test.go).
+// client matrix (idle, slow-reader, accept flood) and the drain-ordering
+// regression. The shared adversary is a parked request — the deref hook
+// parks the goroutine executing it mid-traversal exactly like the stress
+// harness's stalled reader, which makes "this connection is stuck"
+// deterministic instead of a timing race.
 
 import (
 	"context"
 	"errors"
 	"net"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,8 +39,8 @@ func startTuned(t *testing.T, cfg ServerConfig) (*Server, *Store) {
 }
 
 // parkFirstDeref arms a one-shot trap on every pool of st: the next
-// dereferencing goroutine (a shard worker mid-Get) parks until release
-// is called. release is idempotent.
+// dereferencing goroutine (a connection goroutine or poller mid-request)
+// parks until release is called. release is idempotent.
 func parkFirstDeref(st *Store) (parked <-chan struct{}, release func()) {
 	p := make(chan struct{})
 	r := make(chan struct{})
@@ -82,73 +77,13 @@ func shutdownClean(t *testing.T, srv *Server, within time.Duration) {
 	}
 }
 
-// TestDispatchShedsWhenQueueFull is the head-of-line regression for the
-// read loop: with a 1-deep queue and the only worker parked, dispatch
-// used to block the reader forever; now it sheds StatusOverloaded within
-// DispatchTimeout while earlier requests stay queued and complete once
-// the worker resumes.
-func TestDispatchShedsWhenQueueFull(t *testing.T) {
-	srv, st := startTuned(t, ServerConfig{
-		WorkersPerShard:     1,
-		QueueDepth:          1,
-		ConnBudget:          32,
-		DispatchTimeout:     5 * time.Millisecond,
-		DisableReadFastPath: true,
-	})
-	tc := dialClient(t, srv.Addr())
-	tc.send(Request{Op: OpPut, ID: 1, Key: 1, Val: 11})
-	tc.recv(1)
-
-	parked, release := parkFirstDeref(st)
-	defer release()
-	tc.send(Request{Op: OpGet, ID: 2, Key: 1}) // parks the worker mid-deref
-	select {
-	case <-parked:
-	case <-time.After(2 * time.Second):
-		t.Fatal("worker never parked on the deref hook")
-	}
-	tc.send(Request{Op: OpGet, ID: 3, Key: 2}) // fills the 1-deep queue
-
-	// With the worker parked and the queue full, these two must be shed —
-	// the pre-overload server would block the read loop here forever.
-	tc.send(Request{Op: OpGet, ID: 4, Key: 3}, Request{Op: OpGet, ID: 5, Key: 4})
-	got := tc.recv(2)
-	for _, id := range []uint32{4, 5} {
-		if got[id].Status != StatusOverloaded {
-			t.Fatalf("request %d: status %d, want StatusOverloaded (%d)", id, got[id].Status, StatusOverloaded)
-		}
-	}
-
-	release()
-	got = tc.recv(2)
-	if got[2].Status != StatusOK || got[2].Val != 11 {
-		t.Fatalf("parked get resolved wrong: %+v", got[2])
-	}
-	if got[3].Status != StatusNotFound {
-		t.Fatalf("queued get resolved wrong: %+v", got[3])
-	}
-
-	clearDerefHooks(st)
-	tc.c.Close()
-	shutdownClean(t, srv, 5*time.Second)
-	if n := srv.Snapshot().ShedQueueFull; n < 2 {
-		t.Fatalf("shed_queue_full = %d, want >= 2", n)
-	}
-}
-
-// TestShutdownDrainsUnderFullQueue pins the drain-ordering bug: a
-// connection whose peer vanished while its requests sat in a full shard
-// queue used to leave the reader blocked on the queue send, deadlocking
-// connWG.Wait against the workers that only exit after the queues close.
-// Non-blocking dispatch makes the drain bounded.
-func TestShutdownDrainsUnderFullQueue(t *testing.T) {
-	srv, st := startTuned(t, ServerConfig{
-		WorkersPerShard:     1,
-		QueueDepth:          1,
-		ConnBudget:          8,
-		DispatchTimeout:     5 * time.Millisecond,
-		DisableReadFastPath: true,
-	})
+// TestShutdownDrainsParkedConn pins the drain ordering for a connection
+// whose peer vanished while its goroutine was parked mid-request with a
+// flood of requests still unread: once released, the goroutine answers
+// into a dead socket, fails the write and exits, so Shutdown stays
+// bounded.
+func TestShutdownDrainsParkedConn(t *testing.T) {
+	srv, st := startTuned(t, ServerConfig{})
 	tc := dialClient(t, srv.Addr())
 	tc.send(Request{Op: OpPut, ID: 1, Key: 1, Val: 11})
 	tc.recv(1)
@@ -159,11 +94,10 @@ func TestShutdownDrainsUnderFullQueue(t *testing.T) {
 	select {
 	case <-parked:
 	case <-time.After(2 * time.Second):
-		t.Fatal("worker never parked")
+		t.Fatal("connection never parked")
 	}
 
-	// Flood past the queue and the budget, then vanish without reading a
-	// single response.
+	// Flood, then vanish without reading a single response.
 	var reqs []Request
 	for i := uint32(3); i < 33; i++ {
 		reqs = append(reqs, Request{Op: OpGet, ID: i, Key: uint64(i)})
@@ -223,21 +157,18 @@ func TestIdleClientEvicted(t *testing.T) {
 
 // TestSlowReaderEvictionKeepsShardProgressing is the acceptance
 // regression: a connection that writes requests but never reads its
-// responses cannot stall its shard's worker. Concurrent traffic from a
-// healthy connection on the same (only) shard keeps completing while the
-// slow client is eventually evicted by the write deadline, and the whole
-// run stays free of detect-mode violations.
+// responses cannot stall its shard. Its goroutine blocks in Write, alone;
+// concurrent traffic from a healthy connection on the same (only) shard
+// keeps completing while the slow client is eventually evicted by the
+// write deadline, and the whole run stays free of detect-mode
+// violations.
 func TestSlowReaderEvictionKeepsShardProgressing(t *testing.T) {
 	srv, _ := startTuned(t, ServerConfig{
-		WorkersPerShard: 1,
-		QueueDepth:      64,
-		ConnBudget:      64,
-		WriteTimeout:    250 * time.Millisecond,
-		DispatchTimeout: 5 * time.Millisecond,
+		WriteTimeout: 250 * time.Millisecond,
 		// A small capped send buffer is what makes the eviction prompt:
-		// responses are 17 bytes and credit-gated, so with the autotuned
-		// default the kernel absorbs megabytes of them before a flush
-		// ever stalls past the deadline.
+		// responses are 17 bytes, so with the autotuned default the
+		// kernel absorbs megabytes of them before a flush ever stalls
+		// past the deadline.
 		ConnWriteBuffer: 16 << 10,
 	})
 
@@ -274,8 +205,8 @@ func TestSlowReaderEvictionKeepsShardProgressing(t *testing.T) {
 	}()
 
 	// The healthy client shares the shard. Every op must complete within
-	// the conn-wide deadline; overload sheds are retried, which is the
-	// documented client contract.
+	// the conn-wide deadline; overload sheds would be retried, which is
+	// the documented client contract.
 	healthy := dialClient(t, srv.Addr())
 	healthy.c.SetReadDeadline(time.Now().Add(30 * time.Second))
 	for i := uint32(0); i < 100; i++ {
@@ -297,7 +228,7 @@ func TestSlowReaderEvictionKeepsShardProgressing(t *testing.T) {
 	}
 
 	// The slow client must be evicted (write deadline), which also ends
-	// its writer goroutine.
+	// its connection goroutine.
 	deadline := time.Now().Add(15 * time.Second)
 	for srv.Snapshot().EvictedSlow == 0 {
 		if time.Now().After(deadline) {
@@ -309,78 +240,6 @@ func TestSlowReaderEvictionKeepsShardProgressing(t *testing.T) {
 
 	healthy.c.Close()
 	shutdownClean(t, srv, 10*time.Second) // nil error ⇒ zero arena violations
-}
-
-// TestBurstPastBudgetSheds: a client that bursts past its in-flight
-// budget gets StatusOverloaded for the excess — deterministically, since
-// the parked worker keeps the budgeted requests in flight — and the
-// connection teardown leaks no goroutines.
-func TestBurstPastBudgetSheds(t *testing.T) {
-	preServer := runtime.NumGoroutine()
-	srv, st := startTuned(t, ServerConfig{
-		WorkersPerShard:     1,
-		QueueDepth:          64,
-		ConnBudget:          4,
-		DispatchTimeout:     100 * time.Millisecond,
-		DisableReadFastPath: true,
-	})
-	tc := dialClient(t, srv.Addr())
-	tc.send(Request{Op: OpPut, ID: 1, Key: 1, Val: 11})
-	tc.recv(1)
-
-	parked, release := parkFirstDeref(st)
-	defer release()
-	tc.send(Request{Op: OpGet, ID: 10, Key: 1}) // parks the worker, holds credit 1
-	select {
-	case <-parked:
-	case <-time.After(2 * time.Second):
-		t.Fatal("worker never parked")
-	}
-	// Credits 2..4 queue behind the parked worker; the next 4 exceed the
-	// budget. The burst equals the budget so the uncredited shed lane
-	// cannot overflow — every shed is delivered, none dropped.
-	tc.send(
-		Request{Op: OpGet, ID: 11, Key: 2},
-		Request{Op: OpGet, ID: 12, Key: 3},
-		Request{Op: OpGet, ID: 13, Key: 4},
-		Request{Op: OpGet, ID: 14, Key: 5},
-		Request{Op: OpGet, ID: 15, Key: 6},
-		Request{Op: OpGet, ID: 16, Key: 7},
-		Request{Op: OpGet, ID: 17, Key: 8},
-	)
-	got := tc.recv(4) // the sheds arrive while 10..13 are still in flight
-	for _, id := range []uint32{14, 15, 16, 17} {
-		if got[id].Status != StatusOverloaded {
-			t.Fatalf("burst request %d: status %d, want StatusOverloaded", id, got[id].Status)
-		}
-	}
-	release()
-	got = tc.recv(4)
-	if got[10].Status != StatusOK || got[10].Val != 11 {
-		t.Fatalf("budgeted get 10 resolved wrong: %+v", got[10])
-	}
-	for _, id := range []uint32{11, 12, 13} {
-		if got[id].Status != StatusNotFound {
-			t.Fatalf("budgeted get %d resolved wrong: %+v", id, got[id])
-		}
-	}
-	if n := srv.Snapshot().ShedBudget; n < 4 {
-		t.Fatalf("shed_budget = %d, want >= 4", n)
-	}
-
-	clearDerefHooks(st)
-	tc.c.Close()
-	shutdownClean(t, srv, 5*time.Second)
-
-	// No goroutine leak: everything the server and the connection spawned
-	// is gone after Shutdown.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > preServer+2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before server, %d after shutdown", preServer, runtime.NumGoroutine())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
 }
 
 // TestMaxConnsShedsAtAccept: connections past the cap are closed at

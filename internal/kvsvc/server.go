@@ -3,6 +3,7 @@ package kvsvc
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -25,35 +26,30 @@ type ServerConfig struct {
 	Addr string
 	// AdminAddr is the HTTP admin listen address ("" disables admin).
 	AdminAddr string
-	// WorkersPerShard is the number of worker goroutines (each owning a
-	// shard-bound Handle) per shard (default 2).
-	WorkersPerShard int
-	// QueueDepth is the per-shard request queue capacity (default 256).
-	QueueDepth int
 	// MaxConns caps concurrently served connections; accepts beyond the
 	// cap are closed immediately (accept-time shedding). 0 selects the
 	// default (1024); negative means unlimited.
 	MaxConns int
-	// ConnBudget is the per-connection in-flight response budget: the
-	// number of accepted-but-not-yet-written responses one connection may
-	// have outstanding. Requests past the budget are answered with
-	// StatusOverloaded instead of queueing, so a connection that stops
-	// reading can never back up into a shard worker. 0 selects the
-	// default (128).
+	// ConnBudget is the netpoll layer's per-connection in-flight response
+	// budget: the number of responses one connection may have buffered
+	// and not yet handed to the kernel. Requests past the budget are
+	// answered with StatusOverloaded, which bounds the nonblocking
+	// outbound buffer of a connection that stops reading. The goroutine
+	// layer needs no budget: its reader writes its own responses, so a
+	// connection's unsent responses never exceed one read buffer's worth.
+	// 0 selects the default (128).
 	ConnBudget int
 	// IdleTimeout is the maximum time the server waits for the next frame
 	// from a client before evicting the connection. 0 selects the default
 	// (2m); negative disables the idle deadline.
 	IdleTimeout time.Duration
-	// WriteTimeout is the per-write deadline on the response path: a
-	// client that stops draining its socket is evicted once a response
-	// write stalls this long. 0 selects the default (10s); negative
-	// disables the write deadline.
+	// WriteTimeout bounds how long a client may leave its responses
+	// untaken: a connection is evicted once a response write stalls this
+	// long, or (goroutine layer) once unsent response bytes sit in the
+	// kernel this long while it waits for requests; netpoll watches its
+	// outbound buffer's progress instead. 0 selects the default (10s);
+	// negative disables it.
 	WriteTimeout time.Duration
-	// DispatchTimeout is how long a connection's reader waits for space
-	// on a full shard queue before answering StatusOverloaded. 0 selects
-	// the default (20ms); negative sheds immediately.
-	DispatchTimeout time.Duration
 	// ConnWriteBuffer caps the kernel send buffer (SO_SNDBUF) of each
 	// accepted TCP connection. It bounds the kernel memory one
 	// non-reading client can pin and is what makes WriteTimeout eviction
@@ -63,23 +59,16 @@ type ServerConfig struct {
 	// multi-megabyte send buffer fill. 0 selects the default (64 KiB);
 	// negative leaves the kernel default (autotuning).
 	ConnWriteBuffer int
-	// DisableReadFastPath forces GETs through the shard worker queues
-	// like mutations (the pre-fast-path behavior). The zero value serves
-	// GETs on the connection goroutine; this exists for A/B benchmarking
-	// and for tests that exercise the queue path deterministically.
-	DisableReadFastPath bool
-	// ReadHandleCache caps the idle per-shard read handles kept for
-	// handoff between connections (see readHandlePool). 0 selects the
+	// ReadHandleCache caps the idle per-shard store handles kept for
+	// handoff between connections (see handlePool). 0 selects the
 	// default (16 per shard); negative disables caching, so every
 	// connection teardown releases its handles straight back to the
 	// store's domains.
 	ReadHandleCache int
 	// Netpoll serves connections on the event-driven layer
 	// (internal/netpoll): a fixed set of poller goroutines instead of a
-	// reader+writer goroutine pair per connection. Designed for
-	// mostly-idle fleets of 100k+ conns; see npserver.go for the
-	// contract deltas (DispatchTimeout does not apply — full shard
-	// queues shed immediately).
+	// goroutine per connection. Designed for mostly-idle fleets of 100k+
+	// conns; see npserver.go for the contract deltas.
 	Netpoll bool
 	// Pollers is the netpoll poller-goroutine count. 0 selects the
 	// netpoll default (min(8, GOMAXPROCS)).
@@ -91,12 +80,6 @@ type ServerConfig struct {
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
-	if c.WorkersPerShard <= 0 {
-		c.WorkersPerShard = 2
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
-	}
 	if c.MaxConns == 0 {
 		c.MaxConns = 1024
 	}
@@ -109,9 +92,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.WriteTimeout == 0 {
 		c.WriteTimeout = 10 * time.Second
 	}
-	if c.DispatchTimeout == 0 {
-		c.DispatchTimeout = 20 * time.Millisecond
-	}
 	if c.ConnWriteBuffer == 0 {
 		c.ConnWriteBuffer = 64 << 10
 	}
@@ -121,85 +101,56 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	return c
 }
 
-// outMsg is one queued response plus whether it holds one of the
-// connection's budget credits. Credits are released by the writer only
-// after the response is written (or the connection is declared broken),
-// so the budget tracks what the client has actually consumed.
-type outMsg struct {
-	resp     Response
-	credited bool
-}
-
-// request is one decoded wire request bound for a shard queue, carrying
-// the per-connection response channel. The response send is credited and
-// therefore can never block (see serveConn's capacity invariant), which
-// is the property that keeps a slow client from stalling a shard worker.
-// pending, when non-nil, is the connection's mutation counter for the
-// target shard; the worker decrements it after executing the request (at
-// which point the mutation is applied), which is what lets the reader's
-// GET fast path prove it cannot overtake this connection's own writes.
-// Exactly one of out (goroutine mode) and nc (netpoll mode) is set; in
-// netpoll mode the worker answers through the conn's nonblocking
-// outbound buffer instead of a response channel.
-type request struct {
-	req     Request
-	out     chan<- outMsg
-	nc      *npConn
-	pending *atomic.Int64
-}
-
-// Server fronts a Store with the wire protocol: per-connection pipelined
-// reads, per-shard worker pools (so every worker participates in exactly
-// one shard's reclamation domain), batched writes, and an HTTP admin
-// endpoint serving live per-shard smr.Stats.
+// Server fronts a Store with the wire protocol and an HTTP admin endpoint
+// serving live per-shard smr.Stats. Every request runs to completion on
+// the goroutine that read it: a connection's own goroutine (or, in
+// netpoll mode, its poller), using store handles borrowed per shard from
+// a pool. There are no shard workers and no queues, so one connection's
+// requests execute in the order it sent them.
 //
 // Overload model: the server never lets one peer block shared progress.
-// Accepts past MaxConns are shed at accept time; requests past a
-// connection's ConnBudget or into a shard queue that stays full past
-// DispatchTimeout are answered StatusOverloaded; connections that stop
-// sending (IdleTimeout) or stop reading (WriteTimeout) are evicted. All
-// five events are counted and exported via AdminStats.
+// Accepts past MaxConns are shed at accept time; connections that stop
+// sending (IdleTimeout) or stop reading (WriteTimeout) are evicted; in
+// netpoll mode, requests past a connection's ConnBudget are answered
+// StatusOverloaded. Every such event is counted and exported via
+// AdminStats.
 type Server struct {
 	cfg   ServerConfig
 	store *Store
 
 	ln       net.Listener
-	adminLn  net.Listener
+	adminLn  *adminListener
 	admin    *http.Server
 	adminErr chan error
-
-	queues   []chan request
-	workerWG sync.WaitGroup
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 	connWG sync.WaitGroup
 
 	// Netpoll mode (cfg.Netpoll): poll owns every conn's readiness and
-	// I/O; npConns tracks live handlers for drain; pollerRH is one
-	// lazily-filled per-shard read-handle set per poller — the GET fast
-	// path's handles are owned per poller, not per conn, which is what
-	// keeps Registry.Len() flat at idle-fleet scale.
-	poll     netpoll.Poll
-	pollerRH []*connReadHandles
-	npMu     sync.Mutex
-	npConns  map[*npConn]struct{}
-	npWG     sync.WaitGroup
+	// I/O; npConns tracks live handlers for drain; pollerHandles is one
+	// lazily-filled per-shard handle set per poller — handles are owned
+	// per poller, not per conn, which is what keeps Registry.Len() flat
+	// at idle-fleet scale.
+	poll          netpoll.Poll
+	pollerHandles []*connHandles
+	npMu          sync.Mutex
+	npConns       map[*npConn]struct{}
+	npWG          sync.WaitGroup
 
-	readPool *readHandlePool
+	handles *handlePool
 
 	draining  atomic.Bool
 	accepted  atomic.Int64
 	served    atomic.Int64
-	fastGets  atomic.Int64 // GETs served on the connection goroutine
+	gets      atomic.Int64
 	liveConns atomic.Int64
 
-	shedConns     atomic.Int64 // accepts closed at the MaxConns cap
-	shedBudget    atomic.Int64 // StatusOverloaded: connection budget exceeded
-	shedQueueFull atomic.Int64 // StatusOverloaded: shard queue full past DispatchTimeout
-	shedDropped   atomic.Int64 // budget sheds and pings dropped because the writer is stalled too
-	evictedIdle   atomic.Int64 // connections evicted by the read (idle) deadline
-	evictedSlow   atomic.Int64 // connections evicted by the write deadline
+	shedConns   atomic.Int64 // accepts closed at the MaxConns cap
+	shedBudget  atomic.Int64 // StatusOverloaded: connection budget exceeded (netpoll)
+	shedDropped atomic.Int64 // budget sheds and pings dropped because the peer is not reading either (netpoll)
+	evictedIdle atomic.Int64 // connections evicted by the read (idle) deadline
+	evictedSlow atomic.Int64 // connections evicted for leaving responses untaken (WriteTimeout)
 
 	// Unread-backlog gauges (SIOCOUTQ), sampled at each slow-reader
 	// eviction: the explicit staleness signal that keeps working once
@@ -209,13 +160,13 @@ type Server struct {
 	evictedSlowOutqMax  atomic.Int64
 }
 
-// NewServer binds the listeners and starts the shard worker pools; call
-// Serve to start accepting. The server owns store's drain: Shutdown
-// calls store.Drain after the last worker exits.
+// NewServer binds the listeners; call Serve to start accepting. The
+// server owns store's drain: Shutdown calls store.Drain after the last
+// connection is gone.
 func NewServer(store *Store, cfg ServerConfig) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg, store: store, conns: map[net.Conn]struct{}{}}
-	s.readPool = newReadHandlePool(store, cfg.ReadHandleCache)
+	s.handles = newHandlePool(store, cfg.ReadHandleCache)
 
 	var err error
 	if cfg.Netpoll {
@@ -229,9 +180,9 @@ func NewServer(store *Store, cfg ServerConfig) (*Server, error) {
 		if s.poll, err = netpoll.New(pcfg); err != nil {
 			return nil, err
 		}
-		s.pollerRH = make([]*connReadHandles, len(s.poll.ConnCounts()))
-		for i := range s.pollerRH {
-			s.pollerRH[i] = newConnReadHandles(s.readPool)
+		s.pollerHandles = make([]*connHandles, len(s.poll.ConnCounts()))
+		for i := range s.pollerHandles {
+			s.pollerHandles[i] = newConnHandles(s.handles)
 		}
 	}
 	if s.ln, err = net.Listen("tcp", cfg.Addr); err != nil {
@@ -241,10 +192,12 @@ func NewServer(store *Store, cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	if cfg.AdminAddr != "" {
-		if s.adminLn, err = net.Listen("tcp", cfg.AdminAddr); err != nil {
+		aln, err := net.Listen("tcp", cfg.AdminAddr)
+		if err != nil {
 			s.ln.Close()
 			return nil, err
 		}
+		s.adminLn = &adminListener{Listener: aln}
 		mux := http.NewServeMux()
 		mux.HandleFunc("/stats", s.handleStats)
 		mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -254,17 +207,24 @@ func NewServer(store *Store, cfg ServerConfig) (*Server, error) {
 		s.adminErr = make(chan error, 1)
 		go func() { s.adminErr <- s.admin.Serve(s.adminLn) }()
 	}
-
-	for i := 0; i < store.NumShards(); i++ {
-		q := make(chan request, cfg.QueueDepth)
-		s.queues = append(s.queues, q)
-		for w := 0; w < cfg.WorkersPerShard; w++ {
-			h := store.NewShardHandle(i)
-			s.workerWG.Add(1)
-			go s.shardWorker(q, h)
-		}
-	}
 	return s, nil
+}
+
+// adminListener remembers whether anything but Shutdown closed it. A
+// listener closed just before Shutdown is a failure while serving even
+// when http.Server.Serve only notices it after Shutdown began, and so
+// returns ErrServerClosed.
+type adminListener struct {
+	net.Listener
+	shutdown atomic.Bool // set by Shutdown before it closes the listener
+	lost     atomic.Bool
+}
+
+func (l *adminListener) Close() error {
+	if !l.shutdown.Load() {
+		l.lost.Store(true)
+	}
+	return l.Listener.Close()
 }
 
 // Addr returns the wire listener's address (useful with ":0").
@@ -313,33 +273,13 @@ func (s *Server) Serve() error {
 	}
 }
 
-// shardWorker executes requests for one shard with its own handle. The
-// pending decrement happens after execute and before the response send:
-// once it hits zero the mutation is already applied, so a fast-path read
-// that observes zero cannot miss it.
-func (s *Server) shardWorker(q <-chan request, h Handle) {
-	defer s.workerWG.Done()
-	for r := range q {
-		resp := execute(h, r.req)
-		if r.pending != nil {
-			r.pending.Add(-1)
-		}
-		if r.nc != nil {
-			// Netpoll mode: answer through the conn's nonblocking
-			// outbound buffer. The inflight decrement comes after the
-			// send so drain's inflight==0 ∧ Buffered()==0 check cannot
-			// miss a response that is about to be buffered.
-			r.nc.send(resp, true)
-			r.nc.inflight.Add(-1)
-		} else {
-			r.out <- outMsg{resp: resp, credited: true}
-		}
-		s.served.Add(1)
+// execute runs one request against the shard handle set hs and returns
+// its response. A ping touches no shard; its Val echoes the request's.
+func (s *Server) execute(hs *connHandles, r Request) Response {
+	if r.Op == OpPing {
+		return Response{ID: r.ID, Status: StatusOK, Val: r.Val}
 	}
-}
-
-// execute runs one request against a handle.
-func execute(h Handle, r Request) Response {
+	h := hs.handle(s.store.ShardOf(r.Key))
 	switch r.Op {
 	case OpGet:
 		if v, ok := h.Get(r.Key); ok {
@@ -360,43 +300,26 @@ func execute(h Handle, r Request) Response {
 	return Response{ID: r.ID, Status: StatusErr}
 }
 
-// serveConn owns one connection: a read loop decoding pipelined frames,
-// executing GETs in place (the read fast path) and dispatching mutations
-// to shard queues, and a writer goroutine batching responses back out.
+// serveConn owns one connection and runs every request to completion on
+// its own goroutine: read a frame, execute it on the connection's
+// lazily borrowed shard handles, append the response to out. out is
+// written with one Write whenever the next frame is not already in the
+// read buffer, so a pipelined burst costs one read and one write
+// syscall, and the connection's unsent responses never exceed the
+// responses to one read buffer's worth of requests.
 //
-// Capacity invariant (the no-stall guarantee): out has 2·B slots for a
-// budget of B. Credited messages — dispatched requests, fast-path gets,
-// and queue-full sheds — are gated by the credits semaphore, so at most B
-// of them exist between acquire and the writer's release; uncredited
-// messages (budget sheds and pings) are capped at B by the uncredited
-// counter (the reader drops the message, counted, when even that lane is
-// full). Any sender of a credited message therefore always finds a free
-// slot: credited-in-channel ≤ B−1 while it holds its own credit, and
-// uncredited-in-channel ≤ B. Shard workers send only credited messages,
-// so they can NEVER block on a connection, no matter how the peer
-// behaves — the service-layer analogue of the bounded-garbage guarantee
-// the reclamation schemes give against stalled threads.
-//
-// The fast path preserves the invariant with the same argument: the
-// reader executes the get only after taking a credit, so its send is a
-// credited send and finds a slot like any worker's would. Because the
-// reader is itself the sender, it cannot even race its own budget — the
-// send happens-before the next frame is read. The get must still never
-// *stall* the read loop: Get on every engine/scheme is a bounded
-// wait-free traversal (no helping, no unbounded retry; somap may lazily
-// insert bucket dummies, which is a bounded handle-local op), so the
-// reader returns to ReadFrame in bounded time.
-//
-// Ordering: a fast-path get may overtake *other* requests, but never this
-// connection's own mutations. The reader counts its in-queue mutations
-// per shard (pending); a get takes the fast path only when the target
-// shard's count is zero — the counter is decremented by the worker after
-// the mutation is applied, and only the reader increments it, so zero
-// means every mutation this connection sent to that shard has executed.
-// Otherwise the get rides the queue behind them, exactly as before.
+// Deadlines are armed at that flush point only: the write deadline once
+// per Write, the read deadline before the read that may block (see
+// awaitInput). A peer that stops reading therefore blocks this
+// goroutine, and only this one, until WriteTimeout evicts it; its
+// handles sit idle meanwhile (no operation is in progress, so no epoch
+// is pinned, and whatever its hazard slots still hold is bounded by the
+// slot count).
 func (s *Server) serveConn(c net.Conn) {
 	defer s.connWG.Done()
+	hs := newConnHandles(s.handles)
 	defer func() {
+		hs.release() // hand the handles to the pool for the next connection
 		s.connMu.Lock()
 		delete(s.conns, c)
 		s.connMu.Unlock()
@@ -404,100 +327,53 @@ func (s *Server) serveConn(c net.Conn) {
 		s.liveConns.Add(-1)
 	}()
 
-	budget := s.cfg.ConnBudget
 	br := bufio.NewReader(c)
-	bw := bufio.NewWriter(c)
-	out := make(chan outMsg, 2*budget)
-	credits := make(chan struct{}, budget)
-	for i := 0; i < budget; i++ {
-		credits <- struct{}{}
-	}
-	var uncredited atomic.Int64 // uncredited messages enqueued and not yet dequeued
-	var inflight sync.WaitGroup
-
-	fastPath := !s.cfg.DisableReadFastPath
-	rh := newConnReadHandles(s.readPool)
-	// pending[i] counts this connection's mutations dispatched to shard i
-	// and not yet executed; only the reader increments, only workers
-	// decrement (after applying), so a zero read proves the fast path
-	// cannot overtake our own writes.
-	pending := make([]atomic.Int64, s.store.NumShards())
-	var dispatchTimer *time.Timer
-	defer func() {
-		if dispatchTimer != nil {
-			dispatchTimer.Stop()
+	var frame, out []byte
+	var served, gets int64
+	// flush counts the batch and writes it; false means the connection
+	// is broken (evicted if the write deadline expired).
+	flush := func() bool {
+		s.served.Add(served)
+		s.gets.Add(gets)
+		served, gets = 0, 0
+		if len(out) == 0 {
+			return true
 		}
-	}()
-
-	var writerWG sync.WaitGroup
-	writerWG.Add(1)
-	go func() {
-		defer writerWG.Done()
-		var buf []byte
-		broken := false
-		fail := func(err error) {
-			broken = true
+		if s.cfg.WriteTimeout > 0 {
+			c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		}
+		_, err := c.Write(out)
+		out = out[:0]
+		if err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
-				s.evictedSlow.Add(1)
-				if q, ok := netpoll.SockOutq(c); ok {
-					s.recordEvictedOutq(q)
-				}
+				s.dropSlowReader(c, unsent(c))
 			}
-			// Evict: closing the connection kicks the read loop out of
-			// its blocking read, so the whole connection tears down
-			// instead of silently discarding responses forever.
-			c.Close()
+			return false
 		}
-		for m := range out {
-			if !broken {
-				buf = AppendResponse(buf[:0], m.resp)
-				if s.cfg.WriteTimeout > 0 {
-					c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-				}
-				if _, err := bw.Write(buf); err != nil {
-					fail(err)
-				} else if len(out) == 0 {
-					// Batch boundary: flush only when no more responses
-					// are queued, so a pipelined burst costs one syscall.
-					if err := bw.Flush(); err != nil {
-						fail(err)
-					}
-				}
-			}
-			if m.credited {
-				credits <- struct{}{}
-			} else {
-				uncredited.Add(-1)
-			}
-			inflight.Done()
-		}
-		if !broken {
-			// Fresh deadline for the final flush: the last per-response
-			// deadline may be nearly spent (or long expired on an idle
-			// teardown), and a peer that stalls exactly here would
-			// otherwise pin serveConn in writerWG.Wait for however much
-			// stale deadline happens to remain.
-			if s.cfg.WriteTimeout > 0 {
-				c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-			}
-			bw.Flush()
-		}
-	}()
-
-	var frame []byte
+		return true
+	}
 	for {
-		if s.cfg.IdleTimeout > 0 {
-			c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+		if !frameBuffered(br) {
+			if !flush() || !s.awaitInput(c, br) {
+				return
+			}
 		}
 		var err error
 		frame, err = ReadFrame(br, frame)
 		if err != nil {
-			// io.EOF is a clean close; a deadline expiry is an idle
-			// eviction; anything else (truncated frame, garbage length,
-			// oversized frame) poisons the byte stream. The connection is
-			// dropped either way.
+			// io.EOF is a clean close; a deadline expiry mid-frame is a
+			// slow-reader eviction if responses are still unsent (the
+			// peer's stalled window can hold back its own requests too)
+			// and an idle one (a trickled frame) otherwise; anything else
+			// (truncated frame, garbage length, oversized frame) poisons
+			// the byte stream. The connection is dropped either way, after
+			// answering what it already sent.
 			if errors.Is(err, os.ErrDeadlineExceeded) {
-				s.evictedIdle.Add(1)
+				if q := unsent(c); q > 0 {
+					s.dropSlowReader(c, q)
+				} else {
+					s.evictedIdle.Add(1)
+				}
 			}
 			break
 		}
@@ -505,122 +381,89 @@ func (s *Server) serveConn(c net.Conn) {
 		if err != nil {
 			break
 		}
-
-		if req.Op == OpPing {
-			// Pings ride the uncredited lane and never consume budget: a
-			// keepalive must not compete with data responses for credits,
-			// or a saturated-but-healthy connection would read
-			// StatusOverloaded for its liveness probe (see the OpPing
-			// contract in wire.go). The lane's B-bound still holds; if
-			// even it is full the writer is stalled and the ping is
-			// dropped, counted — the peer is not reading anyway.
-			if uncredited.Load() < int64(budget) {
-				uncredited.Add(1)
-				inflight.Add(1)
-				out <- outMsg{resp: Response{ID: req.ID, Status: StatusOK}}
-			} else {
-				s.shedDropped.Add(1)
-			}
-			continue
-		}
-
-		select {
-		case <-credits:
-		default:
-			// Budget exceeded: the client already has ConnBudget
-			// responses it has not read. Shed on the bounded uncredited
-			// lane; if even that is full the writer is stalled and the
-			// shed is dropped — the client's request timeout covers it.
-			s.shedBudget.Add(1)
-			if uncredited.Load() < int64(budget) {
-				uncredited.Add(1)
-				inflight.Add(1)
-				out <- outMsg{resp: Response{ID: req.ID, Status: StatusOverloaded}}
-			} else {
-				s.shedDropped.Add(1)
-			}
-			continue
-		}
-		inflight.Add(1)
-		i := s.store.ShardOf(req.Key)
-		if fastPath && req.Op == OpGet && pending[i].Load() == 0 {
-			// Read fast path: execute on this goroutine with the
-			// connection's own shard handle — no queue, no worker, no
-			// cross-goroutine hop. Credited send, same capacity proof as
-			// a worker's (see above).
-			out <- outMsg{resp: execute(rh.handle(i), req), credited: true}
-			s.served.Add(1)
-			s.fastGets.Add(1)
-			continue
-		}
-		if isMutation(req.Op) {
-			pending[i].Add(1)
-		}
-		q := s.queues[i]
-		r := request{req: req, out: out}
-		if isMutation(req.Op) {
-			r.pending = &pending[i]
-		}
-		select {
-		case q <- r:
-		default:
-			if !s.dispatchSlow(q, r, &dispatchTimer) {
-				if r.pending != nil {
-					r.pending.Add(-1) // shed, never executed
-				}
-				s.shedQueueFull.Add(1)
-				out <- outMsg{resp: Response{ID: req.ID, Status: StatusOverloaded}, credited: true}
-			}
+		out = AppendResponse(out, s.execute(hs, req))
+		served++
+		if req.Op == OpGet {
+			gets++
 		}
 	}
-	inflight.Wait() // all accepted requests answered (or shed) and handed to the writer
-	rh.release()    // hand the read handles to the pool for the next connection
-	close(out)
-	writerWG.Wait()
+	flush()
 }
 
-// isMutation reports whether op changes store state (and therefore rides
-// the worker queue and counts toward the per-shard pending counter).
-func isMutation(op byte) bool { return op == OpPut || op == OpDel }
-
-// dispatchSlow waits up to DispatchTimeout for space on a full shard
-// queue; false means the request must be shed. The wait is the only
-// place a connection's reader blocks on shared state, and it is bounded
-// — a full queue can delay one reader by at most the timeout, never
-// wedge it (the pre-overload server blocked here forever, which let one
-// slow shard hold every connection's read loop and Shutdown hostage).
-//
-// t caches the connection's timer across calls: this path is hot exactly
-// when the server is overloaded (every frame meets a full queue), and a
-// fresh time.Timer per event put allocator and runtime-timer pressure on
-// the one code path that needed to stay cheap. The Stop/drain on the
-// send-won branch leaves the timer fully consumed, so the next Reset
-// starts clean under the pre-1.23 timer semantics this module targets.
-func (s *Server) dispatchSlow(q chan<- request, r request, t **time.Timer) bool {
-	d := s.cfg.DispatchTimeout
-	if d <= 0 {
-		return false
-	}
-	if *t == nil {
-		*t = time.NewTimer(d)
-	} else {
-		(*t).Reset(d)
-	}
-	select {
-	case q <- r:
-		if !(*t).Stop() {
-			<-(*t).C
+// awaitInput blocks until the next request's first byte is buffered,
+// reporting false when the connection must be dropped. The read deadline
+// is the idle deadline, or WriteTimeout when that is sooner, re-armed
+// until IdleTimeout has passed. A WriteTimeout expiry with bytes still
+// in the kernel's send queue (SIOCOUTQ) evicts the peer as a slow
+// reader: nothing was written since the last flush, so the peer has
+// left those bytes untaken for WriteTimeout, as if a Write had blocked
+// that long. (The peer's window can stall with the goroutine in Read,
+// not Write.) The deadline stays armed for the frame that follows, so a
+// trickled frame cannot extend it.
+func (s *Server) awaitInput(c net.Conn, br *bufio.Reader) bool {
+	idle, wt := s.cfg.IdleTimeout, s.cfg.WriteTimeout
+	start := time.Now()
+	for now := start; ; now = time.Now() {
+		var deadline time.Time
+		if idle > 0 {
+			deadline = start.Add(idle)
 		}
-		return true
-	case <-(*t).C:
+		if d := now.Add(wt); wt > 0 && (deadline.IsZero() || d.Before(deadline)) {
+			deadline = d
+		}
+		c.SetReadDeadline(deadline)
+		_, err := br.Peek(1)
+		if err == nil {
+			return true
+		}
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			return false // EOF or a broken stream: nothing to answer
+		}
+		if q := unsent(c); q > 0 {
+			s.dropSlowReader(c, q)
+			return false
+		}
+		if idle > 0 && time.Since(start) >= idle {
+			s.evictedIdle.Add(1)
+			return false
+		}
+	}
+}
+
+// dropSlowReader counts the slow-reader eviction of c, which holds q
+// unsent bytes, and makes its coming Close abortive. The peer is not
+// taking its responses, so they are discarded with an RST; a graceful
+// close would leave the kernel retrying them, and a peer whose window is
+// stalled can then wait minutes for a FIN that cannot reach it.
+func (s *Server) dropSlowReader(c net.Conn, q int) {
+	s.evictSlow(q)
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetLinger(0)
+	}
+}
+
+// unsent reports the response bytes the kernel still holds for the peer
+// (SIOCOUTQ), or 0 where the platform cannot tell.
+func unsent(c net.Conn) int {
+	q, _ := netpoll.SockOutq(c)
+	return q
+}
+
+// frameBuffered reports whether br already holds one complete frame, so
+// reading it cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < hdrLen {
 		return false
 	}
+	hdr, _ := br.Peek(hdrLen) // buffered: no I/O
+	return n >= hdrLen+int(binary.BigEndian.Uint32(hdr))
 }
 
 // Shutdown gracefully drains the server: stop accepting, let live
 // connections finish their pipelines (force-closing them if ctx expires
-// first), stop the shard workers, drain the store's reclamation domains,
-// and stop the admin endpoint. It returns an error if the admin listener
+// first), drain the store's reclamation domains, and stop the admin
+// endpoint. It returns an error if the admin listener
 // failed while serving or if any arena pool recorded a detect-mode
 // violation (use-after-free or double free).
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -647,29 +490,28 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 
-	for _, q := range s.queues {
-		close(q)
+	// Netpoll mode: the pollers are gone, so the per-poller handle sets
+	// can go back to the pool before the final pass.
+	for _, hs := range s.pollerHandles {
+		hs.release()
 	}
-	s.workerWG.Wait()
-	// Netpoll mode: the pollers are gone, so the per-poller fast-path
-	// handle sets can go back to the pool before the final pass.
-	for _, rh := range s.pollerRH {
-		rh.release()
-	}
-	// Every connection has returned its read handles by now (connWG), so
-	// the pool holds all idle fast-path handles; release them before the
-	// store's final reclamation pass.
-	s.readPool.drain()
+	// Every connection has returned its handles by now (connWG), so the
+	// pool holds all idle handles; release them before the store's final
+	// reclamation pass.
+	s.handles.drain()
 	s.store.Drain()
 
 	var errs []error
 	if s.admin != nil {
+		s.adminLn.shutdown.Store(true)
 		s.admin.Shutdown(context.Background())
 		// Serve has returned by now (its listener is closed); surface any
 		// failure other than the clean ErrServerClosed instead of having
 		// lost it to a fire-and-forget goroutine.
 		if err := <-s.adminErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			errs = append(errs, fmt.Errorf("kvsvc: admin listener: %w", err))
+		} else if s.adminLn.lost.Load() {
+			errs = append(errs, errors.New("kvsvc: admin listener closed while serving"))
 		}
 	}
 
@@ -679,12 +521,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return errors.Join(errs...)
 }
 
-// Served returns the number of requests executed (by shard workers or on
-// the connection-goroutine read fast path).
+// Served returns the number of requests executed, pings included.
 func (s *Server) Served() int64 { return s.served.Load() }
-
-// FastGets returns the number of GETs served on the read fast path.
-func (s *Server) FastGets() int64 { return s.fastGets.Load() }
 
 // AdminStats is the JSON document served at the admin endpoint's /stats
 // (and scraped by kvload): store-wide totals, the overload/eviction
@@ -696,21 +534,23 @@ type AdminStats struct {
 	AcceptedConns int64  `json:"accepted_conns"`
 	LiveConns     int64  `json:"live_conns"`
 	ServedOps     int64  `json:"served_ops"`
-	FastpathGets  int64  `json:"fastpath_gets"`
-	LiveHandles   int    `json:"live_handles"`
-	ShedConns     int64  `json:"shed_conns"`
-	ShedBudget    int64  `json:"shed_budget"`
-	ShedQueueFull int64  `json:"shed_queue_full"`
-	ShedDropped   int64  `json:"shed_dropped"`
-	ShedTotal     int64  `json:"shed_total"`
-	EvictedIdle   int64  `json:"evicted_idle"`
-	EvictedSlow   int64  `json:"evicted_slow"`
+	// FastpathGets counts GETs. It is named for the read fast path that
+	// once bypassed the shard workers; every GET now runs on the
+	// goroutine that read it.
+	FastpathGets int64 `json:"fastpath_gets"`
+	LiveHandles  int   `json:"live_handles"`
+	ShedConns    int64 `json:"shed_conns"`
+	ShedBudget   int64 `json:"shed_budget"`
+	ShedDropped  int64 `json:"shed_dropped"`
+	ShedTotal    int64 `json:"shed_total"`
+	EvictedIdle  int64 `json:"evicted_idle"`
+	EvictedSlow  int64 `json:"evicted_slow"`
 	// Unread-backlog (SIOCOUTQ) sampled at the most recent / worst
 	// slow-reader eviction; 0 where unsupported.
 	EvictedSlowOutqBytes    int64 `json:"evicted_slow_outq_bytes"`
 	EvictedSlowOutqMaxBytes int64 `json:"evicted_slow_outq_max_bytes"`
 	// Process-level gauges for the idle-fleet accounting: kvload derives
-	// bytes-per-conn and the O(pollers+workers) goroutine check from
+	// bytes-per-conn and the O(pollers) goroutine check from
 	// these (request /stats?gc=1 for a post-GC heap reading).
 	Goroutines      int   `json:"goroutines"`
 	HeapInuseBytes  int64 `json:"heap_inuse_bytes"`
@@ -729,8 +569,10 @@ type AdminStats struct {
 	PerShard        []smr.Stats `json:"per_shard"`
 }
 
-// recordEvictedOutq updates the slow-eviction unread-backlog gauges.
-func (s *Server) recordEvictedOutq(q int) {
+// evictSlow counts a slow-reader eviction and updates the unread-backlog
+// gauges with the socket's send-queue depth q (0 where unknown).
+func (s *Server) evictSlow(q int) {
+	s.evictedSlow.Add(1)
 	s.evictedSlowOutqLast.Store(int64(q))
 	for {
 		m := s.evictedSlowOutqMax.Load()
@@ -744,7 +586,7 @@ func (s *Server) recordEvictedOutq(q int) {
 func (s *Server) Snapshot() AdminStats {
 	per := s.store.ShardStats()
 	at := s.store.ArenaTotals()
-	shedB, shedQ, shedC := s.shedBudget.Load(), s.shedQueueFull.Load(), s.shedConns.Load()
+	shedB, shedC := s.shedBudget.Load(), s.shedConns.Load()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	var pollerConns []int
@@ -760,13 +602,12 @@ func (s *Server) Snapshot() AdminStats {
 		AcceptedConns:           s.accepted.Load(),
 		LiveConns:               s.liveConns.Load(),
 		ServedOps:               s.served.Load(),
-		FastpathGets:            s.fastGets.Load(),
+		FastpathGets:            s.gets.Load(),
 		LiveHandles:             s.store.LiveHandles(),
 		ShedConns:               shedC,
 		ShedBudget:              shedB,
-		ShedQueueFull:           shedQ,
 		ShedDropped:             s.shedDropped.Load(),
-		ShedTotal:               shedB + shedQ + shedC,
+		ShedTotal:               shedB + shedC,
 		EvictedIdle:             s.evictedIdle.Load(),
 		EvictedSlow:             s.evictedSlow.Load(),
 		EvictedSlowOutqBytes:    s.evictedSlowOutqLast.Load(),

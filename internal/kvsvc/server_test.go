@@ -14,8 +14,7 @@ import (
 )
 
 // startServer boots a server on ephemeral ports and returns it with its
-// Serve goroutine running. WorkersPerShard=1 keeps per-shard execution
-// FIFO so pipelined operations on one key are deterministic.
+// Serve goroutine running.
 func startServer(t *testing.T, scheme string) *Server {
 	t.Helper()
 	st, err := NewStore(Config{Shards: 4, Scheme: scheme, Mode: arena.ModeDetect, Buckets: 32})
@@ -23,9 +22,8 @@ func startServer(t *testing.T, scheme string) *Server {
 		t.Fatal(err)
 	}
 	srv, err := NewServer(st, ServerConfig{
-		Addr:            "127.0.0.1:0",
-		AdminAddr:       "127.0.0.1:0",
-		WorkersPerShard: 1,
+		Addr:      "127.0.0.1:0",
+		AdminAddr: "127.0.0.1:0",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +82,6 @@ func TestServerEndToEnd(t *testing.T) {
 	tc := dialClient(t, srv.Addr())
 
 	// One pipelined burst: puts, gets, deletes, a re-get and a ping.
-	// Responses may be reordered across shards, so match by ID.
 	var reqs []Request
 	id := uint32(0)
 	for k := uint64(0); k < 32; k++ {

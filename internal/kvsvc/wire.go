@@ -4,8 +4,10 @@
 // payload. Requests and responses are fixed-size, so the codec is a
 // handful of loads and stores and the only dynamic decision is the
 // length check. Clients pipeline freely: requests carry a client-chosen
-// ID, responses echo it, and the server may reorder responses across
-// shards (within one shard they stay FIFO).
+// ID and responses echo it. The server executes one connection's
+// requests in the order they were sent; on the netpoll layer a ping or
+// a StatusOverloaded shed is the only response that may be written
+// ahead of earlier ones (see OpPing).
 //
 //	request  payload: op(1) id(4) key(8) val(8)   = 21 bytes
 //	response payload: id(4) status(1) val(8)      = 13 bytes
@@ -27,17 +29,17 @@ import (
 // Opcodes.
 //
 // The OpPing contract: a ping is a liveness probe, not a data request.
-// It is answered on the connection's reader goroutine without consuming
-// an in-flight credit, so a ping succeeds (StatusOK, Val echoes the
-// request's Val) even when every credit is held by queued mutations and
-// data requests are being shed StatusOverloaded — a client at budget can
-// still distinguish "server alive but saturated" from "server gone".
-// Because pings skip the credit gate they are also excluded from
-// response-ordering guarantees: a ping's response may overtake earlier
-// data responses from the same connection. The one case a ping is
-// dropped (no response at all) is a connection whose writer is already
-// stalled past its uncredited headroom — the slow-writer eviction path
-// is about to kill that connection anyway.
+// It touches no shard and answers StatusOK with Val echoing the
+// request's Val. On the goroutine layer it is answered in order like
+// any request. On the netpoll layer it skips the in-flight budget, so a
+// ping succeeds even when data requests are being shed
+// StatusOverloaded — a client at budget can still distinguish "server
+// alive but saturated" from "server gone" — and, like a shed, its
+// response may overtake earlier data responses still waiting for
+// budget. The one case a ping is dropped (no response at all) is a
+// netpoll connection whose peer has stopped reading past its
+// uncredited headroom; the write-stall eviction is about to close it
+// anyway.
 const (
 	OpGet uint8 = 1 + iota
 	OpPut
@@ -51,9 +53,9 @@ const (
 	StatusNotFound
 	StatusErr
 	// StatusOverloaded is the shed signal: the server refused to execute
-	// the request because the connection exceeded its in-flight budget or
-	// the target shard queue stayed full past the dispatch timeout. The
-	// request had no effect; clients should retry with backoff.
+	// the request because the connection exceeded its in-flight budget
+	// (netpoll layer). The request had no effect; clients should retry
+	// with backoff.
 	StatusOverloaded
 )
 
@@ -231,15 +233,21 @@ func (fr *FrameReader) Buffered() int { return len(fr.pend) }
 // inspectable through the wrap: errors.Is(err, os.ErrDeadlineExceeded)
 // distinguishes a read-deadline expiry from a torn stream, which is how
 // the server attributes idle-timeout evictions.
+//
+// The header is read into buf too: a local array would escape through
+// io.ReadFull's interface argument and cost an allocation per frame.
 func ReadFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
-	var hdr [hdrLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if cap(buf) < hdrLen {
+		buf = make([]byte, 0, 64) // room for either message kind
+	}
+	hdr := buf[:hdrLen]
+	if _, err := io.ReadFull(br, hdr); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("%w: %w", ErrTruncated, err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrame {
 		return nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, MaxFrame)
 	}

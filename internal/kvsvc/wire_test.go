@@ -321,3 +321,24 @@ func TestReadFrameReusesBuffer(t *testing.T) {
 		t.Fatal("ReadFrame reallocated despite sufficient capacity")
 	}
 }
+
+// TestReadFrameZeroAllocs pins ReadFrame's steady state at zero
+// allocations per frame: the header lands in the caller's buffer, not in
+// a local array that escapes through io.ReadFull.
+func TestReadFrameZeroAllocs(t *testing.T) {
+	stream := AppendRequest(nil, Request{Op: OpGet, ID: 1, Key: 2})
+	r := bytes.NewReader(stream)
+	br := bufio.NewReader(r)
+	buf := make([]byte, 0, 64)
+	allocs := testing.AllocsPerRun(1000, func() {
+		r.Reset(stream)
+		br.Reset(r)
+		var err error
+		if buf, err = ReadFrame(br, buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ReadFrame allocates %.2f times per frame, want 0", allocs)
+	}
+}

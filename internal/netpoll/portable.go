@@ -90,6 +90,7 @@ type portConn struct {
 	lane int
 	h    Handler
 	wake chan struct{} // capacity 1: write-pending / close poke
+	wbuf []byte        // writer-owned copy of the bytes being written
 
 	mu     sync.Mutex
 	out    outbuf
@@ -198,15 +199,20 @@ func (c *portConn) drain() (done bool) {
 			c.mu.Unlock()
 			return true
 		}
-		pend := c.out.pending()
+		// Copy the pending bytes out under the lock: a concurrent push
+		// may compact the store in place and append over the region a
+		// Write would still be reading. advance below accounts by byte
+		// count, so the copy is all the writer needs.
+		c.wbuf = append(c.wbuf[:0], c.out.pending()...)
+		pend := c.wbuf
 		if len(pend) == 0 {
 			c.mu.Unlock()
+			if cap(c.wbuf) > 16<<10 {
+				c.wbuf = nil // as outbuf: a one-off burst must not pin memory
+			}
 			return false
 		}
 		c.mu.Unlock()
-		// pend snapshots the pending bytes; a concurrent push may
-		// reallocate the store but never mutates the snapshot, and
-		// advance below accounts by byte count, not slice identity.
 		if wt := c.p.cfg.WriteStallTimeout; wt > 0 {
 			c.nc.SetWriteDeadline(time.Now().Add(wt))
 		}

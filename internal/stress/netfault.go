@@ -4,8 +4,8 @@
 // the connection layer the same way real clients do — by stalling,
 // trickling, or vanishing mid-frame. A server with working overload
 // protection evicts or sheds all of them while healthy connections keep
-// completing; a server without it wedges a shard worker and, through the
-// worker's pinned hazard-pointer handle, that shard's reclamation.
+// completing; a server without it lets one peer hold up other
+// connections' requests or the drain.
 //
 // Each injector runs synchronously until the server evicts it (the
 // socket errors), its own work finishes, or stop closes; callers run

@@ -22,12 +22,8 @@ func startServer(t *testing.T) *kvsvc.Server {
 	}
 	srv, err := kvsvc.NewServer(st, kvsvc.ServerConfig{
 		Addr:            "127.0.0.1:0",
-		WorkersPerShard: 1,
-		QueueDepth:      64,
-		ConnBudget:      64,
 		IdleTimeout:     300 * time.Millisecond,
 		WriteTimeout:    250 * time.Millisecond,
-		DispatchTimeout: 5 * time.Millisecond,
 		ConnWriteBuffer: 16 << 10,
 	})
 	if err != nil {
@@ -66,7 +62,7 @@ func shutdownClean(t *testing.T, srv *kvsvc.Server) {
 // TestStalledReaderEvictedWhileHealthyProgress: the flagship injector.
 // A flooding never-reading client is evicted by the write deadline while
 // a healthy connection on the same single shard keeps completing ops —
-// the stalled client never wedges the shard worker.
+// the stalled client blocks only its own connection goroutine.
 func TestStalledReaderEvictedWhileHealthyProgress(t *testing.T) {
 	srv := startServer(t)
 	stop := make(chan struct{})
@@ -82,9 +78,8 @@ func TestStalledReaderEvictedWhileHealthyProgress(t *testing.T) {
 		done <- result{n, err}
 	}()
 
-	// Healthy traffic must keep completing the whole time. Healthy ops
-	// can be shed while the stalled reader hogs the worker; retrying is
-	// the documented client contract.
+	// Healthy traffic must keep completing the whole time; a shed would
+	// be retried, which is the documented client contract.
 	c, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)

@@ -1,16 +1,14 @@
 #!/usr/bin/env bash
 # bench_kvsvc.sh: refresh BENCH_kvsvc.json with the service-layer matrix.
 #
-# Runs kvload against gosmrd for every (scheme, engine, read-fastpath)
-# cell — hp++ on both engines plus hp-scot on the somap engine (plain HP
-# carried by the SCOT traversal, the apples-to-apples robustness rival),
-# fast path on and off — with a 1M-key preload so the somap cells measure
-# the fully grown directory, under the Zipf read-most mix. Each run is
-# detect mode, so the numbers double as a safety gate: kvload exits
-# non-zero on any arena violation. The single-cell reports are merged
-# (jq) into one BENCH_kvsvc.json at the repo root; cells are
-# distinguished by "scheme", "engine" and the "fastpath=on|off" tag in
-# the workload string, and the on-cells must show nonzero fastpath_gets.
+# Runs kvload against gosmrd for every (scheme, engine) cell — hp++ on
+# both engines plus hp-scot on the somap engine (plain HP carried by the
+# SCOT traversal, the apples-to-apples robustness rival) — with a
+# 1M-key preload so the somap cells measure the fully grown directory,
+# under the Zipf read-most mix. Each run is detect mode, so the numbers
+# double as a safety gate: kvload exits non-zero on any arena violation.
+# The single-cell reports are merged (jq) into one BENCH_kvsvc.json at
+# the repo root; cells are distinguished by "scheme" and "engine".
 #
 # Usage: scripts/bench_kvsvc.sh [requests] [preload]
 set -euo pipefail
@@ -36,43 +34,33 @@ CELLS=()
 for pair in hp++:somap hp++:hashmap hp-scot:somap; do
     scheme="${pair%%:*}"
     engine="${pair##*:}"
-    for fast in on off; do
-        [ "$fast" = on ] && FASTFLAG=true || FASTFLAG=false
-        tag="${scheme}_${engine}_${fast}"
-        echo "bench-kvsvc: scheme=$scheme engine=$engine fastpath=$fast ($PRELOAD preload, $REQUESTS requests)"
-        "$BIN/gosmrd" -addr "$ADDR" -admin "$ADMIN" -shards 8 -scheme "$scheme" -mode detect \
-            -engine "$engine" -read-fastpath="$FASTFLAG" \
-            >"$BIN/gosmrd_${tag}.json" 2>"$BIN/gosmrd_${tag}.log" &
-        SRV_PID=$!
+    tag="${scheme}_${engine}"
+    echo "bench-kvsvc: scheme=$scheme engine=$engine ($PRELOAD preload, $REQUESTS requests)"
+    "$BIN/gosmrd" -addr "$ADDR" -admin "$ADMIN" -shards 8 -scheme "$scheme" -mode detect \
+        -engine "$engine" \
+        >"$BIN/gosmrd_${tag}.json" 2>"$BIN/gosmrd_${tag}.log" &
+    SRV_PID=$!
 
-        OUT="$BIN/cell_${tag}.json"
-        "$BIN/kvload" -addr "$ADDR" -admin "$ADMIN" \
-            -conns 8 -requests "$REQUESTS" -keys "$PRELOAD" -preload "$PRELOAD" \
-            -zipf 1.1 -note "fastpath=$fast" -out "$OUT"
+    OUT="$BIN/cell_${tag}.json"
+    "$BIN/kvload" -addr "$ADDR" -admin "$ADMIN" \
+        -conns 8 -requests "$REQUESTS" -keys "$PRELOAD" -preload "$PRELOAD" \
+        -zipf 1.1 -out "$OUT"
 
-        kill -TERM "$SRV_PID"
-        if ! wait "$SRV_PID"; then
-            echo "bench-kvsvc: gosmrd drain FAILED ($tag)" >&2
-            cat "$BIN/gosmrd_${tag}.log" >&2
-            exit 1
-        fi
-        SRV_PID=""
-        grep -q "clean drain" "$BIN/gosmrd_${tag}.log" || {
-            echo "bench-kvsvc: no clean drain ($tag)" >&2
-            exit 1
-        }
-        if [ "$fast" = on ]; then
-            FG=$(jq '.cells[0].fastpath_gets // 0' "$OUT")
-            if [ "$FG" -eq 0 ]; then
-                echo "bench-kvsvc: fastpath=on run recorded zero fastpath_gets ($tag)" >&2
-                exit 1
-            fi
-        fi
-        CELLS+=("$OUT")
-    done
+    kill -TERM "$SRV_PID"
+    if ! wait "$SRV_PID"; then
+        echo "bench-kvsvc: gosmrd drain FAILED ($tag)" >&2
+        cat "$BIN/gosmrd_${tag}.log" >&2
+        exit 1
+    fi
+    SRV_PID=""
+    grep -q "clean drain" "$BIN/gosmrd_${tag}.log" || {
+        echo "bench-kvsvc: no clean drain ($tag)" >&2
+        exit 1
+    }
+    CELLS+=("$OUT")
 done
 
 jq -s '{generated_by: "kvload (scripts/bench_kvsvc.sh)", scan_microbench: .[0].scan_microbench, cells: map(.cells[0])}' \
     "${CELLS[@]}" > BENCH_kvsvc.json
 echo "bench-kvsvc: wrote BENCH_kvsvc.json (${#CELLS[@]} cells)"
-jq -r '.cells[] | "\(.scheme)\t\(.engine)\t\(.workload | capture("fastpath=(?<f>\\w+)").f)\tp50(get)=\(.p50_get_us)µs\tp99(get)=\(.p99_get_us)µs\tfastpath_gets=\(.fastpath_gets // 0)"' BENCH_kvsvc.json
+jq -r '.cells[] | "\(.scheme)\t\(.engine)\tp50(get)=\(.p50_get_us)µs\tp99(get)=\(.p99_get_us)µs"' BENCH_kvsvc.json

@@ -9,11 +9,11 @@
 # itself exits non-zero if the admin scrape shows violations, so the pair
 # gates both sides.
 #
-# Phase 2 is the overload gate: a deliberately saturated server (one
-# shard, one worker, 4-deep queue, immediate shedding) must shed a
-# nonzero number of requests as StatusOverloaded, kvload's retry/backoff
-# must still recover to 100% completion (it exits non-zero otherwise),
-# and the drain must stay clean with zero arena violations.
+# Phase 2 is the overload gate: a server capped at 2 connections
+# (-max-conns 2) faces 16 concurrent kvload connections, so it must shed
+# a nonzero number of them at accept time; kvload's admission retry and
+# backoff must still recover to 100% completion (it exits non-zero
+# otherwise), and the drain must stay clean with zero arena violations.
 #
 # Phase 3 is the resize gate: gosmrd starts with 8-bucket shard
 # directories (somap engine) and kvload preloads 200k distinct keys —
@@ -79,11 +79,11 @@ grep -q "clean drain" "$BIN/gosmrd.log" || {
 echo "serve-smoke: phase 1 OK ($REQUESTS requests, clean drain, zero arena violations)"
 
 # ---- Phase 2: overload ----
-# One worker behind a 4-deep queue with immediate shedding: most of the
-# burst must come back StatusOverloaded, and kvload's retry/backoff has
-# to grind it to 100% completion anyway.
-"$BIN/gosmrd" -addr "$ADDR" -admin "$ADMIN" -shards 1 -workers 1 -queue 4 \
-    -dispatch-timeout -1ns -scheme hp++ -mode detect \
+# Two connection slots for sixteen clients: most dials are accepted and
+# closed at the cap, and kvload's admission retry has to grind the
+# workload to 100% completion anyway.
+"$BIN/gosmrd" -addr "$ADDR" -admin "$ADMIN" -shards 1 -max-conns 2 \
+    -scheme hp++ -mode detect \
     $NETPOLL_FLAG \
     >"$BIN/gosmrd2.json" 2>"$BIN/gosmrd2.log" &
 SRV_PID=$!
@@ -94,7 +94,7 @@ SRV_PID=$!
 
 SHED=$(sed -n 's/.*shed_total=\([0-9]*\).*/\1/p' "$BIN/kvload2.log")
 if [ -z "$SHED" ] || [ "$SHED" -eq 0 ]; then
-    echo "serve-smoke: overload phase shed nothing (shed_total=${SHED:-missing}) — the saturated server should be shedding" >&2
+    echo "serve-smoke: overload phase shed nothing (shed_total=${SHED:-missing}) — the capped server should be shedding connections" >&2
     exit 1
 fi
 
