@@ -1,7 +1,9 @@
-# Developer entry points. `make check` is the tier-1 gate; `make race`
-# reruns everything under the race detector. Stress/linearizability tests
-# honour -short (subsampled matrix); `make stress` sweeps the full matrix
-# including the unsafefree must-fail controls.
+# Developer entry points. `make check` is the tier-1 gate; it also vets
+# and tests perfbench, a separate module importing kvsvc that the root
+# ./... never compiles. `make race` reruns everything under the race
+# detector. Stress/linearizability tests honour -short (subsampled
+# matrix); `make stress` sweeps the full matrix including the unsafefree
+# must-fail controls.
 
 GO ?= go
 
@@ -18,6 +20,7 @@ check: vet
 	$(GO) test -race -count=1 -run 'Netpoll|FrameReader|Order|Evict|Churn|ReadFrame' ./internal/kvsvc/
 	$(GO) test -race -count=1 -run 'Scot|SCOT' \
 		./internal/hp/ ./internal/ds/hhslist/ ./internal/ds/hmlist/ ./internal/ds/somap/
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 vet:
 	$(GO) vet ./...
@@ -37,8 +40,8 @@ stress:
 serve-smoke:
 	bash scripts/serve_smoke.sh
 
-# bench-kvsvc regenerates BENCH_kvsvc.json at the repo root: the
-# (engine × read-fastpath) service-layer matrix under a 1M-key preload,
+# bench-kvsvc regenerates BENCH_kvsvc.json at the repo root: one
+# service-layer cell per scheme (hp++, hp-scot) under a 1M-key preload,
 # detect mode throughout.
 bench-kvsvc:
 	bash scripts/bench_kvsvc.sh

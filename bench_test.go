@@ -20,6 +20,7 @@ import (
 
 	"github.com/gosmr/gosmr/internal/arena"
 	"github.com/gosmr/gosmr/internal/bench"
+	"github.com/gosmr/gosmr/internal/scheme"
 )
 
 // runOps drives target with the given workload mix from b.N parallel
@@ -83,10 +84,7 @@ func runOps(b *testing.B, ds, scheme string, keyRange uint64, wl bench.Workload)
 // allTargets enumerates every (ds, scheme) cell of Figures 8 and 11-23.
 func allTargets(b *testing.B, wl bench.Workload, big bool) {
 	for _, ds := range bench.Registered() {
-		for _, scheme := range bench.Schemes {
-			if !bench.Applicable(ds, scheme) {
-				continue
-			}
+		for _, scheme := range bench.SchemesFor(ds) {
 			keyRange := uint64(128)
 			if ds == "hmlist" || ds == "hhslist" {
 				keyRange = 16
@@ -198,20 +196,24 @@ func BenchmarkFig10LongReads(b *testing.B) {
 // revocation) against Algorithm 5 (epoched heavy fence, lazy revocation)
 // on the Harris list — the §3.4 optimization the paper motivates.
 func BenchmarkAblationEpochFence(b *testing.B) {
-	for _, scheme := range []string{"hp++", "hp++ef"} {
-		b.Run(scheme, func(b *testing.B) {
-			runOps(b, "hhslist", scheme, 1600, bench.ReadWrite)
+	hpp := scheme.Names(func(s *scheme.Desc) bool { return s.Family == scheme.HPP })
+	for _, name := range hpp {
+		b.Run(name, func(b *testing.B) {
+			runOps(b, "hhslist", name, 1600, bench.ReadWrite)
 		})
 	}
 }
 
 // BenchmarkRobustnessStall is the §4.4 experiment: write-only churn with
 // one stalled participant. Compare peak-unreclaimed between EBR
-// (unbounded growth) and HP/HP++/PEBR (bounded).
+// (unbounded growth), the bounded schemes and the nr baseline.
 func BenchmarkRobustnessStall(b *testing.B) {
-	for _, scheme := range []string{"ebr", "pebr", "hp++", "nr"} {
-		b.Run("hhslist/"+scheme, func(b *testing.B) {
-			target, err := bench.NewTarget("hhslist", scheme, arena.ModeReuse)
+	stallSchemes := scheme.Names(func(s *scheme.Desc) bool {
+		return s.Stalled != scheme.Unmeasured || s.NeverFrees
+	})
+	for _, name := range stallSchemes {
+		b.Run("hhslist/"+name, func(b *testing.B) {
+			target, err := bench.NewTarget("hhslist", name, arena.ModeReuse)
 			if err != nil {
 				b.Skipf("not applicable: %v", err)
 			}

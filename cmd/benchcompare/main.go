@@ -48,6 +48,7 @@ import (
 	"os"
 
 	"github.com/gosmr/gosmr/internal/bench"
+	"github.com/gosmr/gosmr/internal/scheme"
 	"github.com/gosmr/gosmr/internal/stress"
 )
 
@@ -149,11 +150,6 @@ func main() {
 	}
 }
 
-// robustSchemes are the stall cells gated by the absolute peak bound:
-// everything except EBR (whose whole point in the report is to grow
-// without bound) and nr/rc (excluded from the default sweep).
-var robustSchemes = map[string]bool{"hp": true, "hp++": true, "hp++ef": true, "hp-scot": true, "pebr": true, "nbr": true}
-
 // validateStall enforces the stalled-thread report's invariants and
 // returns the process exit code.
 func validateStall(path string, bound int64, ratio, near float64) int {
@@ -173,8 +169,13 @@ func validateStall(path string, bound int64, ratio, near float64) int {
 	}
 
 	failed := false
-	var ebrPeak, nbrPeak int64 = -1, -1
+	peak := map[string]int64{}
 	for _, c := range rep.Cells {
+		// The absolute peak bound gates the schemes the table marks
+		// bounded under a stall: not EBR, whose whole point in the report
+		// is to grow without bound.
+		s, _ := scheme.Lookup(c.Scheme)
+		bounded := s != nil && s.Stalled == scheme.Bounded
 		status := "ok"
 		switch {
 		case !c.ParkedStall:
@@ -188,21 +189,17 @@ func validateStall(path string, bound int64, ratio, near float64) int {
 		case c.FinalUnreclaimed != 0:
 			status = fmt.Sprintf("FAIL (final unreclaimed %d != 0 after release)", c.FinalUnreclaimed)
 			failed = true
-		case robustSchemes[c.Scheme] && c.PeakUnreclaimed > bound:
+		case bounded && c.PeakUnreclaimed > bound:
 			status = fmt.Sprintf("FAIL (peak %d > bound %d)", c.PeakUnreclaimed, bound)
 			failed = true
 		}
 		fmt.Printf("stall %s/%s: peak=%d stalled=%d final=%d retired=%d %s\n",
 			c.DS, c.Scheme, c.PeakUnreclaimed, c.StalledUnreclaimed, c.FinalUnreclaimed, c.TotalRetired, status)
-		switch c.Scheme {
-		case "ebr":
-			ebrPeak = c.PeakUnreclaimed
-		case "nbr":
-			nbrPeak = c.PeakUnreclaimed
-		}
+		peak[c.Scheme] = c.PeakUnreclaimed
 	}
 
-	if ebrPeak >= 0 && nbrPeak > 0 {
+	ebrPeak, hasEBR := peak["ebr"]
+	if nbrPeak := peak["nbr"]; hasEBR && nbrPeak > 0 {
 		r := float64(ebrPeak) / float64(nbrPeak)
 		status := "ok"
 		if r < ratio {

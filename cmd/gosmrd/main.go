@@ -32,17 +32,18 @@ import (
 
 	"github.com/gosmr/gosmr/internal/arena"
 	"github.com/gosmr/gosmr/internal/kvsvc"
+	"github.com/gosmr/gosmr/internal/scheme"
 )
 
 func main() {
+	servable := scheme.Names(func(s *scheme.Desc) bool { return s.Servable })
 	var (
 		addr    = flag.String("addr", ":7070", "wire protocol listen address")
 		admin   = flag.String("admin", ":7071", "HTTP admin listen address (empty disables)")
 		shards  = flag.Int("shards", 8, "number of shards (one reclamation domain + map each)")
-		scheme  = flag.String("scheme", "hp++", "reclamation scheme: "+strings.Join(kvsvc.Schemes, " | "))
+		schemeF = flag.String("scheme", "hp++", "reclamation scheme: "+strings.Join(servable, " | "))
 		mode    = flag.String("mode", "reuse", "arena mode: reuse (serve) | detect (quarantine + UAF validation)")
-		buckets = flag.Int("buckets", 256, "hash buckets per shard (initial directory size for -engine somap)")
-		engine  = flag.String("engine", "somap", "shard map engine: "+strings.Join(kvsvc.Engines, " | "))
+		buckets = flag.Int("buckets", 256, "initial hash directory size per shard (the map doubles past it on load)")
 		drainT  = flag.Duration("drain-timeout", 10*time.Second, "max time to wait for live connections on shutdown")
 
 		maxConns = flag.Int("max-conns", 1024, "max concurrent connections; accepts past the cap are shed (negative = unlimited)")
@@ -59,12 +60,9 @@ func main() {
 	)
 	flag.Parse()
 
-	if !kvsvc.ValidScheme(*scheme) {
-		fmt.Fprintf(os.Stderr, "gosmrd: unknown scheme %q (want one of %s)\n", *scheme, strings.Join(kvsvc.Schemes, ", "))
-		os.Exit(2)
-	}
-	if !kvsvc.ValidEngine(*engine) {
-		fmt.Fprintf(os.Stderr, "gosmrd: unknown engine %q (want one of %s)\n", *engine, strings.Join(kvsvc.Engines, ", "))
+	sch, ok := scheme.Lookup(*schemeF)
+	if !ok || !sch.Servable {
+		fmt.Fprintf(os.Stderr, "gosmrd: unknown scheme %q (want one of %s)\n", *schemeF, strings.Join(servable, ", "))
 		os.Exit(2)
 	}
 	var am arena.Mode
@@ -80,10 +78,9 @@ func main() {
 
 	store, err := kvsvc.NewStore(kvsvc.Config{
 		Shards:  *shards,
-		Scheme:  *scheme,
+		Scheme:  *schemeF,
 		Mode:    am,
 		Buckets: *buckets,
-		Engine:  *engine,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gosmrd:", err)
@@ -112,8 +109,8 @@ func main() {
 	if *netpollF {
 		connLayer = "netpoll/" + srv.Snapshot().NetpollKind
 	}
-	fmt.Fprintf(os.Stderr, "gosmrd: serving %d shards (%s engine, %s, %s mode, %s) on %s, admin on %s\n",
-		*shards, *engine, *scheme, *mode, connLayer, srv.Addr(), srv.AdminAddr())
+	fmt.Fprintf(os.Stderr, "gosmrd: serving %d shards (%s, %s mode, %s) on %s, admin on %s\n",
+		*shards, *schemeF, *mode, connLayer, srv.Addr(), srv.AdminAddr())
 
 	sigCtx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
@@ -146,7 +143,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gosmrd: drain:", drainErr)
 		os.Exit(1)
 	}
-	if unr := store.Unreclaimed(); unr != 0 && *scheme != "nr" {
+	if unr := store.Unreclaimed(); unr != 0 && !sch.NeverFrees {
 		// After a full drain every reclaiming scheme must have handed back
 		// all retired nodes (no stalled participants remain by
 		// construction). NR leaks by design — it is the no-reclamation

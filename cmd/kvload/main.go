@@ -847,7 +847,6 @@ func writeReport(path string, appendCell bool, admin *kvsvc.AdminStats, idle *id
 	}
 	if admin != nil {
 		cell.Scheme = admin.Scheme
-		cell.Engine = admin.Engine
 		cell.FastpathGets = admin.FastpathGets
 		cell.Stats = admin.Total
 	}

@@ -33,6 +33,7 @@ import (
 
 	"github.com/gosmr/gosmr/internal/arena"
 	"github.com/gosmr/gosmr/internal/bench"
+	"github.com/gosmr/gosmr/internal/scheme"
 	"github.com/gosmr/gosmr/internal/stress"
 )
 
@@ -41,13 +42,13 @@ func main() {
 		fig         = flag.Int("fig", 0, "paper figure to reproduce (8-23)")
 		robustness  = flag.String("robustness", "", "run the stalled-thread scenario for the given data structure")
 		ds          = flag.String("ds", "", "data structure for a free-form run")
-		scheme      = flag.String("scheme", "hp++", "reclamation scheme for a free-form run")
+		schemeF     = flag.String("scheme", "hp++", "reclamation scheme for a free-form run")
 		threads     = flag.Int("threads", 4, "worker count for a free-form run")
 		keyRange    = flag.Uint64("range", 10000, "key range for a free-form run")
 		workload    = flag.String("workload", "read-write", "workload: write-only | read-write | read-most")
 		dur         = flag.Duration("dur", time.Second, "duration per benchmark cell")
 		threadsCSV  = flag.String("sweep", "1,2,4,8", "thread counts for figure sweeps")
-		schemesCSV  = flag.String("schemes", "nr,ebr,pebr,nbr,hp,hp++,rc", "schemes for figure sweeps")
+		schemesCSV  = flag.String("schemes", strings.Join(scheme.Names(nil), ","), "schemes for figure sweeps and -reclaimjson")
 		lo          = flag.Uint("lo", 10, "figure 10: smallest log2 key range")
 		hi          = flag.Uint("hi", 16, "figure 10: largest log2 key range")
 		list        = flag.Bool("list", false, "list registered targets and exit")
@@ -62,7 +63,7 @@ func main() {
 
 	if *list {
 		fmt.Println("data structures:", strings.Join(bench.Registered(), " "))
-		fmt.Println("schemes:        ", strings.Join(bench.Schemes, " "))
+		fmt.Println("schemes:        ", strings.Join(scheme.Names(nil), " "))
 		return
 	}
 
@@ -95,7 +96,7 @@ func main() {
 	case *ds != "":
 		wl, err := bench.ParseWorkload(*workload)
 		check(err)
-		t, err := bench.NewTarget(*ds, *scheme, arena.ModeReuse)
+		t, err := bench.NewTarget(*ds, *schemeF, arena.ModeReuse)
 		check(err)
 		res := bench.Run(t, bench.Config{
 			Threads:  *threads,

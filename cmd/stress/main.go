@@ -26,14 +26,14 @@ import (
 	"path/filepath"
 	"time"
 
-	"github.com/gosmr/gosmr/internal/bench"
+	"github.com/gosmr/gosmr/internal/scheme"
 	"github.com/gosmr/gosmr/internal/stress"
 )
 
 func main() {
 	var (
 		ds       = flag.String("ds", "", "restrict to one data structure")
-		scheme   = flag.String("scheme", "", "restrict to one scheme")
+		schemeF  = flag.String("scheme", "", "restrict to one scheme")
 		kind     = flag.String("kind", "", "restrict to one kind: map | queue | stack")
 		unsafe   = flag.Bool("unsafe", false, "include the must-fail control cells (unsafefree + hp-scot-novalidate)")
 		workers  = flag.Int("workers", 4, "worker goroutines per cell")
@@ -52,10 +52,14 @@ func main() {
 	)
 	flag.Parse()
 
-	cells := stress.Matrix(*unsafe || *scheme == bench.UnsafeScheme || *scheme == bench.ScotUnsafeScheme)
+	// Naming a control pulls in the control cells even without -unsafe.
+	if s, ok := scheme.Lookup(*schemeF); ok && s.Control {
+		*unsafe = true
+	}
+	cells := stress.Matrix(*unsafe)
 	var selected []stress.Cell
 	for _, c := range cells {
-		if (*ds == "" || c.DS == *ds) && (*scheme == "" || c.Scheme == *scheme) && (*kind == "" || c.Kind == *kind) {
+		if (*ds == "" || c.DS == *ds) && (*schemeF == "" || c.Scheme == *schemeF) && (*kind == "" || c.Kind == *kind) {
 			selected = append(selected, c)
 		}
 	}
@@ -97,7 +101,8 @@ func main() {
 			os.Exit(1)
 		}
 		results = append(results, res)
-		mustFail := c.Scheme == bench.UnsafeScheme || c.Scheme == bench.ScotUnsafeScheme
+		s, _ := scheme.Lookup(c.Scheme)
+		mustFail := s.Control
 		verdict := res.Outcome
 		switch {
 		case mustFail && res.Passed():

@@ -17,6 +17,7 @@ import (
 	"text/tabwriter"
 
 	"github.com/gosmr/gosmr/internal/bench"
+	"github.com/gosmr/gosmr/internal/scheme"
 	"github.com/gosmr/gosmr/internal/smr"
 )
 
@@ -70,10 +71,11 @@ func printTable2() {
 
 	fmt.Println("\nbenchmark-enforced applicability (bench.Applicable):")
 	w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "ds\t%s\n", strings.Join(bench.Schemes, "\t"))
+	schemes := scheme.Names(nil)
+	fmt.Fprintf(w, "ds\t%s\n", strings.Join(schemes, "\t"))
 	for _, ds := range bench.DataStructures() {
 		row := []string{ds}
-		for _, sch := range bench.Schemes {
+		for _, sch := range schemes {
 			if bench.Applicable(ds, sch) {
 				row = append(row, "✓")
 			} else {

@@ -71,16 +71,18 @@ type PoolInfo interface {
 	SetDerefHook(func(uint64))
 }
 
-// Target is one (data structure, scheme) instance under test. NewTarget
-// in targets.go builds them.
-type Target struct {
+// TargetOf is one (data structure, scheme) instance under test, over
+// the data structure's operation surface H. NewTarget, NewQueueTarget
+// and NewStackTarget in targets*.go build them.
+type TargetOf[H any] struct {
 	DS     string
 	Scheme string
 
 	// NewHandle returns a fresh per-worker handle. Called from the main
 	// goroutine only.
-	NewHandle func() Handle
-	// Finish drains reclamation after all workers stop.
+	NewHandle func() H
+	// Finish finishes every handle and drains reclamation after all
+	// workers stop. Handles must not be used afterwards.
 	Finish func()
 	// Unreclaimed returns the scheme's retired-but-unfreed count.
 	Unreclaimed func() int64
@@ -90,26 +92,27 @@ type Target struct {
 	Stats func() smr.Stats
 	// MemBytes returns live arena bytes (nodes allocated and not freed).
 	MemBytes func() int64
-	// Stall, if non-nil, creates a participant that enters a critical
-	// section (or holds a protection) and never progresses — the
-	// robustness adversary of §4.4.
+	// Stall creates a participant that enters a critical section (or
+	// holds a protection) and never progresses — the robustness
+	// adversary of §4.4.
 	Stall func()
-	// StallRelease, if non-nil, finishes every participant Stall created,
-	// so a post-measurement drain can reach zero. RunWithStall calls it
-	// after recording the stalled-phase measurements; a Stall without a
-	// paired release would leave Finish running against a live pinned
-	// guard and the scenario could never assert recovery.
+	// StallRelease finishes every participant Stall created, so a
+	// post-measurement drain can reach zero. RunWithStall calls it after
+	// recording the stalled-phase measurements.
 	StallRelease func()
 	// Pools lists every arena pool backing the target, for UAF and
 	// double-free attribution in detect-mode stress runs.
 	Pools []PoolInfo
 	// Agitate, if non-nil, performs one pulse of reclamation pressure
 	// from a dedicated goroutine: an epoch-advance/ejection attempt for
-	// EBR/PEBR (the PEBR neutralization storm), a reclamation scan for
-	// HP/HP++, a collection for RC. Safe to call concurrently with
-	// workers, but only from one goroutine.
+	// EBR/PEBR/NBR (the PEBR neutralization storm). Safe to call
+	// concurrently with workers, but only from one goroutine.
 	Agitate func()
 }
+
+// Target is a map-style target: the Get/Insert/Delete surface of the
+// paper's throughput figures.
+type Target = TargetOf[Handle]
 
 // Config parameterizes a run.
 type Config struct {
@@ -175,7 +178,7 @@ type Result struct {
 // SMRStats snapshots the target's scheme stats and fills the arena
 // live/quarantine fields from its pools (quarantined slots are exactly the
 // freed ones in detect mode, which never recycles).
-func (t Target) SMRStats() smr.Stats {
+func (t TargetOf[H]) SMRStats() smr.Stats {
 	var st smr.Stats
 	if t.Stats != nil {
 		st = t.Stats()

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/gosmr/gosmr/internal/arena"
+	"github.com/gosmr/gosmr/internal/scheme"
 )
 
 func TestParseWorkload(t *testing.T) {
@@ -60,22 +61,22 @@ func TestApplicabilityMatrix(t *testing.T) {
 func TestEveryTargetConstructs(t *testing.T) {
 	built := 0
 	for _, ds := range DataStructures() {
-		for _, scheme := range Schemes {
-			target, err := NewTarget(ds, scheme, arena.ModeReuse)
-			if Applicable(ds, scheme) {
+		for _, name := range scheme.Names(nil) {
+			target, err := NewTarget(ds, name, arena.ModeReuse)
+			if Applicable(ds, name) {
 				if err != nil {
-					t.Errorf("NewTarget(%s,%s): %v", ds, scheme, err)
+					t.Errorf("NewTarget(%s,%s): %v", ds, name, err)
 					continue
 				}
 				h := target.NewHandle()
 				h.Insert(1, 2)
 				if v, ok := h.Get(1); !ok || v != 2 {
-					t.Errorf("%s/%s: basic op failed", ds, scheme)
+					t.Errorf("%s/%s: basic op failed", ds, name)
 				}
 				target.Finish()
 				built++
 			} else if err == nil {
-				t.Errorf("NewTarget(%s,%s) should be rejected", ds, scheme)
+				t.Errorf("NewTarget(%s,%s) should be rejected", ds, name)
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/gosmr/gosmr/internal/arena"
+	"github.com/gosmr/gosmr/internal/scheme"
 )
 
 // Matrix is one figure panel: rows are a swept parameter, columns are
@@ -61,11 +62,7 @@ func (s SweepConfig) withDefaults() SweepConfig {
 		s.Duration = time.Second
 	}
 	if len(s.Schemes) == 0 {
-		// Default to every registered scheme. A hand-maintained literal
-		// here once silently dropped hp++ef from all default sweeps when
-		// the epoch-fence variant was added to Schemes; copy the registry
-		// so the two can never diverge again.
-		s.Schemes = append([]string(nil), Schemes...)
+		s.Schemes = scheme.Names(nil)
 	}
 	if len(s.DSes) == 0 {
 		s.DSes = Registered()

@@ -55,9 +55,6 @@ type CellResult struct {
 	// insert/delete retry cost).
 	P50GetUs float64 `json:"p50_get_us,omitempty"`
 	P99GetUs float64 `json:"p99_get_us,omitempty"`
-	// Engine is the shard map engine behind a service-layer cell
-	// (somap/hashmap); empty for in-process microbench cells.
-	Engine string `json:"engine,omitempty"`
 	// FastpathGets is the server's fastpath_gets counter after the run:
 	// every GET it executed (the name predates run-to-completion, when
 	// only some GETs bypassed the shard workers).
@@ -176,8 +173,8 @@ func RunScanMicrobench(minDur time.Duration) ScanResult {
 var scanSink int
 
 // ReclaimJSON writes BENCH_reclaim.json-shaped output to w: the pinned
-// scan microbench plus one fig-8 read-write cell per scheme (the HP cell
-// runs on hmlist since the optimistic structures reject plain HP).
+// scan microbench plus one fig-8 read-write cell per scheme, on hhslist
+// or, for schemes it rejects (plain HP), on hmlist.
 func ReclaimJSON(w io.Writer, schemes []string, dur time.Duration) error {
 	report := ReclaimReport{
 		GeneratedBy: "smrbench -reclaimjson",
@@ -185,7 +182,7 @@ func ReclaimJSON(w io.Writer, schemes []string, dur time.Duration) error {
 	}
 	for _, scheme := range schemes {
 		ds := "hhslist"
-		if scheme == "hp" {
+		if !Applicable(ds, scheme) {
 			ds = "hmlist"
 		}
 		t, err := NewTarget(ds, scheme, arena.ModeReuse)

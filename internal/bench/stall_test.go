@@ -1,43 +1,22 @@
 package bench
 
 import (
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/gosmr/gosmr/internal/arena"
+	"github.com/gosmr/gosmr/internal/scheme"
 )
-
-// TestDefaultSweepSchemesMatchRegistry pins the default-sweep scheme list
-// to the registry. A hand-maintained literal in withDefaults once dropped
-// hp++ef from every default figure sweep when the epoch-fence variant was
-// added to Schemes; this test makes that divergence impossible to repeat.
-func TestDefaultSweepSchemesMatchRegistry(t *testing.T) {
-	got := SweepConfig{}.withDefaults().Schemes
-	if !reflect.DeepEqual(got, Schemes) {
-		t.Fatalf("default sweep schemes %v diverge from registry %v", got, Schemes)
-	}
-	// The default must be a copy: a caller appending to its sweep config
-	// must not grow the global registry.
-	got[0] = "mutated"
-	if Schemes[0] == "mutated" {
-		t.Fatal("withDefaults aliases the Schemes registry instead of copying it")
-	}
-}
 
 // reclaimingSchemes are the hmlist-applicable schemes that actually free
 // (nr is excluded: it never reclaims, so "drains to zero" is vacuous).
 func reclaimingSchemes(t *testing.T) []string {
 	t.Helper()
-	var out []string
-	for _, s := range Schemes {
-		if s != "nr" && Applicable("hmlist", s) {
-			out = append(out, s)
-		}
-	}
-	return out
+	return scheme.Names(func(s *scheme.Desc) bool {
+		return !s.NeverFrees && Applicable("hmlist", s.Name)
+	})
 }
 
 // TestRunWithStallDrainsAfterRelease asserts the recovery half of the
@@ -172,18 +151,19 @@ func runParkedWriter(t *testing.T, scheme string) (frees, backlog int64) {
 // the scan cadence — the parked announcement protects a handful of nodes,
 // not the epoch.
 func TestParkedWriterBoundsRobustSchemes(t *testing.T) {
-	for _, scheme := range []string{"hp", "hp++", "hp++ef", "hp-scot", "pebr", "nbr"} {
-		t.Run(scheme, func(t *testing.T) {
-			frees, backlog := runParkedWriter(t, scheme)
+	bounded := scheme.Names(func(s *scheme.Desc) bool { return s.Stalled == scheme.Bounded })
+	for _, name := range bounded {
+		t.Run(name, func(t *testing.T) {
+			frees, backlog := runParkedWriter(t, name)
 			if frees == 0 {
-				t.Fatalf("%s freed nothing while the writer was parked; reclamation stalled", scheme)
+				t.Fatalf("%s freed nothing while the writer was parked; reclamation stalled", name)
 			}
 			// 2000 retires with cadence 32: a bounded scheme's backlog is
 			// a small multiple of the cadence plus protected nodes. NBR's
 			// bound is its neutralization pressure (4×128 by default, but
 			// FixedReclaimEvery=32 pins guards' threshold to 32 → 4×32).
 			if backlog > 512 {
-				t.Fatalf("%s backlog %d while parked; expected a cadence-scale bound", scheme, backlog)
+				t.Fatalf("%s backlog %d while parked; expected a cadence-scale bound", name, backlog)
 			}
 		})
 	}

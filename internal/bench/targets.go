@@ -4,67 +4,11 @@ import (
 	"fmt"
 
 	"github.com/gosmr/gosmr/internal/arena"
-	"github.com/gosmr/gosmr/internal/core"
 	"github.com/gosmr/gosmr/internal/ds/hashmap"
 	"github.com/gosmr/gosmr/internal/ds/hhslist"
 	"github.com/gosmr/gosmr/internal/ds/hmlist"
-	"github.com/gosmr/gosmr/internal/ebr"
-	"github.com/gosmr/gosmr/internal/hp"
-	"github.com/gosmr/gosmr/internal/nbr"
-	"github.com/gosmr/gosmr/internal/nr"
-	"github.com/gosmr/gosmr/internal/pebr"
-	"github.com/gosmr/gosmr/internal/rc"
-	"github.com/gosmr/gosmr/internal/smr"
-	"github.com/gosmr/gosmr/internal/unsafefree"
+	"github.com/gosmr/gosmr/internal/scheme"
 )
-
-// Scheme names accepted by NewTarget.
-var Schemes = []string{"nr", "ebr", "pebr", "nbr", "hp", "hp++", "hp++ef", "hp-scot", "rc"}
-
-// UnsafeScheme is the deliberately broken immediate-free "scheme". It is
-// accepted by NewTarget for every data structure with a critical-section
-// variant, but intentionally kept out of Schemes: it exists as a
-// must-fail control for detect-mode stress runs, never as a benchmark
-// subject.
-const UnsafeScheme = "unsafefree"
-
-// ScotUnsafeScheme is hp-scot with the SCOT handshake elided
-// (hhslist.ListSCOT.SkipValidation): hazards are announced but never
-// validated, reproducing the unsound naive-HP optimistic walk the HP++
-// paper rules out in §2.3. Like UnsafeScheme it is kept out of Schemes
-// and exists only as a must-fail control for detect-mode stress runs.
-const ScotUnsafeScheme = "hp-scot-novalidate"
-
-// DataStructures lists the registered data structures.
-func DataStructures() []string {
-	return []string{"hmlist", "hhslist", "hashmap", "somap", "skiplist", "nmtree", "efrbtree", "bonsai", "kvmap"}
-}
-
-// Applicable reports whether scheme applies to ds — the Table 2 facts the
-// benchmark enforces: original HP cannot protect optimistic traversal
-// (hhslist, nmtree, skiplist's wait-free gets use a dedicated HP variant),
-// and RC cannot break the EFRB tree's descriptor cycles.
-func Applicable(ds, scheme string) bool {
-	switch scheme {
-	case "hp":
-		return ds != "hhslist" && ds != "nmtree"
-	case "hp-scot":
-		// SCOT rewrites the optimistic traversal so plain HP suffices; it
-		// is implemented for the two lists and the maps built from them.
-		// The remaining optimistic structures (skiplist, nmtree, efrbtree,
-		// bonsai) have no SCOT variant yet.
-		return ds == "hmlist" || ds == "hhslist" || ds == "hashmap" ||
-			ds == "somap" || ds == "kvmap"
-	case "rc":
-		// kvmap (the kvsvc service store) additionally excludes RC: its
-		// long-lived worker handles would retain cross-bucket traces that
-		// never drain promptly (see kvsvc.Schemes). somap inherits the
-		// same exclusion — it is the kvsvc engine, and its permanent
-		// dummy chain would keep every retired neighbour's trace alive.
-		return ds != "efrbtree" && ds != "nmtree" && ds != "kvmap" && ds != "somap"
-	}
-	return true
-}
 
 // FixedReclaimEvery, when set > 0 before target construction, pins every
 // scheme to the classic fixed per-thread cadence (ReclaimEvery /
@@ -74,552 +18,222 @@ func Applicable(ds, scheme string) bool {
 // adaptive behaviour.
 var FixedReclaimEvery int
 
-func newHPDomain() *hp.Domain {
-	d := hp.NewDomain()
-	d.ReclaimEvery = FixedReclaimEvery
-	return d
+// ctor builds one family's variant of a data structure over a live
+// domain: it returns the per-worker handle constructor and the arena
+// pools backing the instance.
+type ctor[H any] func(d *scheme.Domain, mode arena.Mode) (newHandle func() H, pools []PoolInfo)
+
+// structure registers a data structure: one constructor per scheme
+// family it implements. A scheme applies to the structure exactly when
+// its family has a constructor — the Table 2 facts the benchmark
+// enforces: original HP cannot protect optimistic traversal (hhslist
+// and nmtree have no HP variant), SCOT exists for the two lists and the
+// maps built from them, and RC cannot break the EFRB tree's descriptor
+// cycles.
+type structure[H any] struct {
+	name  string
+	ctors map[scheme.Family]ctor[H]
+	// novalidate reports that the SCOT variant honours
+	// Desc.SkipValidation, so the SCOT must-fail control runs here.
+	novalidate bool
+	// build, if set, replaces the shared assembly: the kvmap store
+	// brings its own per-shard domains.
+	build func(s *scheme.Desc, mode arena.Mode) (TargetOf[H], error)
 }
 
-// newSCOTDomain is newHPDomain relabelled: SCOT runs on an unmodified
-// plain-HP domain, distinguished only in stats output.
-func newSCOTDomain() *hp.Domain {
-	d := newHPDomain()
-	d.Name = "hp-scot"
-	return d
+func (st *structure[H]) applicable(s *scheme.Desc) bool {
+	return st.ctors[s.Family] != nil && (!s.SkipValidation || st.novalidate)
 }
 
-func newHPPDomain(epochFence bool) *core.Domain {
-	return core.NewDomain(core.Options{EpochFence: epochFence, ReclaimEvery: FixedReclaimEvery})
-}
-
-// guardDomain builds the CS-style domain for a scheme name, or nil if the
-// scheme is not CS-style.
-func guardDomain(scheme string) (smr.GuardDomain, smr.Domain) {
-	switch scheme {
-	case "nr":
-		d := nr.NewDomain()
-		return d, d
-	case "ebr":
-		d := ebr.NewDomain()
-		d.CollectEvery = FixedReclaimEvery
-		return d, d
-	case "pebr":
-		d := pebr.NewDomain()
-		d.CollectEvery = FixedReclaimEvery
-		return d, d
-	case "nbr":
-		d := nbr.NewDomain()
-		d.CollectEvery = FixedReclaimEvery
-		return d, d
-	case UnsafeScheme:
-		d := unsafefree.NewDomain()
-		return d, d
+// target looks name up and assembles the target: every handle is
+// recorded so Finish can finish it through the domain, then drain.
+func (st *structure[H]) target(name string, mode arena.Mode) (TargetOf[H], error) {
+	s, ok := scheme.Lookup(name)
+	if !ok {
+		return TargetOf[H]{}, fmt.Errorf("bench: unknown scheme %q", name)
 	}
-	return nil, nil
-}
-
-// agitatorFor returns a reclamation-pressure pulse for CS-style domains:
-// a Collect that tries to advance the epoch, ejecting (neutralizing)
-// lagging PEBR participants — the "neutralization storm" fault injector.
-// The returned closure owns its guard and must be called from a single
-// goroutine.
-func agitatorFor(d smr.Domain) func() {
-	switch dom := d.(type) {
-	case *ebr.Domain:
-		g := dom.NewGuardEBR()
-		return func() { g.Collect() }
-	case *pebr.Domain:
-		g := dom.NewGuardPEBR(1)
-		return func() { g.Collect() }
-	case *nbr.Domain:
-		g := dom.NewGuardNBR(1)
-		return func() { g.Collect() }
+	if !st.applicable(s) {
+		return TargetOf[H]{}, fmt.Errorf("bench: %s is not applicable to %s (Table 2)", name, st.name)
 	}
-	return nil
-}
-
-// stallCS returns the paired Stall/StallRelease closures for CS-style
-// domains: Stall parks a fresh pinned guard (the §4.4 robustness
-// adversary), StallRelease finishes every parked guard so a
-// post-measurement drain can reach zero. Both closures must be called
-// from a single goroutine.
-func stallCS(gd smr.GuardDomain) (stall, release func()) {
-	var parked []smr.Guard
-	stall = func() {
-		g := gd.NewGuard(1)
-		g.Pin()
-		parked = append(parked, g)
+	if st.build != nil {
+		return st.build(s, mode)
 	}
-	release = func() {
-		for _, g := range parked {
-			switch gg := g.(type) {
-			case *ebr.Guard:
-				gg.Finish()
-			case *pebr.Guard:
-				gg.Finish()
-			case *nbr.Guard:
-				gg.Finish()
-			default: // nr, unsafefree: nothing held beyond the pin
-				g.Unpin()
+	d := s.New(FixedReclaimEvery)
+	newHandle, pools := st.ctors[s.Family](d, mode)
+	var live []H
+	return TargetOf[H]{
+		DS:     st.name,
+		Scheme: name,
+		NewHandle: func() H {
+			h := newHandle()
+			live = append(live, h)
+			return h
+		},
+		Finish: func() {
+			for _, h := range live {
+				d.FinishHandle(h)
 			}
-		}
-		parked = nil
-	}
-	return stall, release
+			live = nil
+			d.Drain()
+		},
+		Unreclaimed:     d.Unreclaimed,
+		PeakUnreclaimed: d.PeakUnreclaimed,
+		Stats:           d.Stats,
+		MemBytes: func() int64 {
+			var n int64
+			for _, p := range pools {
+				n += p.Stats().Bytes
+			}
+			return n
+		},
+		Stall:        d.Stall,
+		StallRelease: d.StallRelease,
+		Pools:        pools,
+		Agitate:      d.Agitate,
+	}, nil
 }
 
-// hazardThread is the slice of the hp.Thread / core.Thread surface the
-// stall pair needs.
-type hazardThread interface {
-	Protect(i int, ref uint64)
-	Clear(i int)
-	Finish()
+// maps registers the map-style structures, in figure order.
+var maps = []*structure[Handle]{
+	{name: "hmlist", ctors: hmlistCtors},
+	// The one SCOT control cell: hashmap and somap reuse hhslist's SCOT
+	// code, so a second cell there would test nothing new.
+	{name: "hhslist", ctors: hhslistCtors, novalidate: true},
+	{name: "hashmap", ctors: hashmapCtors},
+	{name: "somap", ctors: somapCtors},
+	{name: "skiplist", ctors: skiplistCtors},
+	{name: "nmtree", ctors: nmtreeCtors},
+	{name: "efrbtree", ctors: efrbCtors},
+	{name: "bonsai", ctors: bonsaiCtors},
+	// kvmap is the kvsvc store over somap shards: it applies wherever
+	// somap does.
+	{name: "kvmap", ctors: somapCtors, build: newKVMapTarget},
 }
 
-// stallHazard is stallCS for hazard-slot schemes (HP and HP++): Stall
-// occupies a slot with a nonzero announcement, StallRelease clears it and
-// returns the slot to the registry.
-func stallHazard(newThread func() hazardThread) (stall, release func()) {
-	var parked []hazardThread
-	stall = func() {
-		th := newThread()
-		th.Protect(0, 1)
-		parked = append(parked, th)
+// DataStructures lists the registered map-style data structures.
+func DataStructures() []string {
+	out := make([]string, len(maps))
+	for i, st := range maps {
+		out[i] = st.name
 	}
-	release = func() {
-		for _, th := range parked {
-			th.Clear(0)
-			th.Finish()
-		}
-		parked = nil
-	}
-	return stall, release
+	return out
 }
 
-// stallRC is stallCS for RC domains (the RC guard embeds an EBR guard,
-// so Finish both unpins and drains the deferred-decrement bag).
-func stallRC(dom *rc.Domain) (stall, release func()) {
-	var parked []*rc.Guard
-	stall = func() {
-		g := dom.NewGuard()
-		g.Pin()
-		parked = append(parked, g)
+// Applicable reports whether scheme applies to ds: whether ds has a
+// variant for the scheme's family.
+func Applicable(ds, name string) bool {
+	s, ok := scheme.Lookup(name)
+	if !ok {
+		return false
 	}
-	release = func() {
-		for _, g := range parked {
-			g.Finish()
+	switch ds {
+	case queue.name:
+		return queue.applicable(s)
+	case stack.name:
+		return stack.applicable(s)
+	}
+	for _, st := range maps {
+		if st.name == ds {
+			return st.applicable(s)
 		}
-		parked = nil
 	}
-	return stall, release
+	return false
+}
+
+// SchemesFor lists, in table order, the benchmark schemes (controls
+// excluded) that apply to ds.
+func SchemesFor(ds string) []string {
+	return scheme.Names(func(s *scheme.Desc) bool { return Applicable(ds, s.Name) })
 }
 
 // NewTarget builds a fresh benchmark target for one (ds, scheme) pair.
-func NewTarget(ds, scheme string, mode arena.Mode) (Target, error) {
-	if !Applicable(ds, scheme) {
-		return Target{}, fmt.Errorf("bench: %s is not applicable to %s (Table 2)", scheme, ds)
-	}
-	switch ds {
-	case "hmlist":
-		return newHMListTarget(scheme, mode)
-	case "hhslist":
-		return newHHSListTarget(scheme, mode)
-	case "hashmap":
-		return newHashMapTarget(scheme, mode)
-	case "somap":
-		return newSomapTarget(scheme, mode)
-	case "skiplist":
-		return newSkipListTarget(scheme, mode)
-	case "nmtree":
-		return newNMTreeTarget(scheme, mode)
-	case "efrbtree":
-		return newEFRBTarget(scheme, mode)
-	case "bonsai":
-		return newBonsaiTarget(scheme, mode)
-	case "kvmap":
-		return newKVMapTarget(scheme, mode)
+func NewTarget(ds, name string, mode arena.Mode) (Target, error) {
+	for _, st := range maps {
+		if st.name == ds {
+			return st.target(name, mode)
+		}
 	}
 	return Target{}, fmt.Errorf("bench: unknown data structure %q", ds)
 }
 
-func newHMListTarget(scheme string, mode arena.Mode) (Target, error) {
-	t := Target{DS: "hmlist", Scheme: scheme}
-	switch scheme {
-	case "nr", "ebr", "pebr", "nbr", UnsafeScheme:
-		gd, d := guardDomain(scheme)
+var hmlistCtors = map[scheme.Family]ctor[Handle]{
+	scheme.CS: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
 		pool := hmlist.NewPool(mode)
 		l := hmlist.NewListCS(pool)
-		var hs []*hmlist.HandleCS
-		t.NewHandle = func() Handle {
-			h := l.NewHandleCS(gd)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() { drainGuards(guardsOfHM(hs)) }
-		t.Unreclaimed = d.Unreclaimed
-		t.PeakUnreclaimed = d.PeakUnreclaimed
-		t.Stats = d.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallCS(gd)
-		t.Pools = []PoolInfo{pool}
-		t.Agitate = agitatorFor(d)
-	case "hp":
-		dom := newHPDomain()
+		return func() Handle { return l.NewHandleCS(d.Guards) }, []PoolInfo{pool}
+	},
+	scheme.HP: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
 		pool := hmlist.NewPool(mode)
 		l := hmlist.NewListHP(pool)
-		var hs []*hmlist.HandleHP
-		t.NewHandle = func() Handle {
-			h := l.NewHandleHP(dom)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			for _, h := range hs {
-				h.Thread().Finish()
-			}
-			dom.NewThread(0).Reclaim()
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.PeakUnreclaimed = dom.PeakUnreclaimed
-		t.Stats = dom.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-		t.Pools = []PoolInfo{pool}
-	case "hp-scot":
-		dom := newSCOTDomain()
-		pool := hmlist.NewPool(mode)
-		l := hmlist.NewListSCOT(pool)
-		var hs []*hmlist.HandleSCOT
-		t.NewHandle = func() Handle {
-			h := l.NewHandleSCOT(dom)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			for _, h := range hs {
-				h.Thread().Finish()
-			}
-			dom.NewThread(0).Reclaim()
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.PeakUnreclaimed = dom.PeakUnreclaimed
-		t.Stats = dom.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-		t.Pools = []PoolInfo{pool}
-	case "hp++", "hp++ef":
-		dom := newHPPDomain(scheme == "hp++ef")
+		return func() Handle { return l.NewHandleHP(d.HP) }, []PoolInfo{pool}
+	},
+	scheme.HPP: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
 		pool := hmlist.NewPool(mode)
 		l := hmlist.NewListHPP(pool)
-		var hs []*hmlist.HandleHPP
-		t.NewHandle = func() Handle {
-			h := l.NewHandleHPP(dom)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			for _, h := range hs {
-				h.Thread().Finish()
-			}
-			dom.NewThread(0).Reclaim()
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.PeakUnreclaimed = dom.PeakUnreclaimed
-		t.Stats = dom.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-		t.Pools = []PoolInfo{pool}
-	case "rc":
-		dom := rc.NewDomain()
+		return func() Handle { return l.NewHandleHPP(d.HPP) }, []PoolInfo{pool}
+	},
+	scheme.SCOT: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
+		pool := hmlist.NewPool(mode)
+		l := hmlist.NewListSCOT(pool)
+		return func() Handle { return l.NewHandleSCOT(d.HP) }, []PoolInfo{pool}
+	},
+	scheme.RC: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
 		pool := hmlist.NewPoolRC(mode)
 		l := hmlist.NewListRC(pool)
-		var hs []*hmlist.HandleRC
-		t.NewHandle = func() Handle {
-			h := l.NewHandleRC(dom)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			// Bounded collection: Drain would spin forever when the
-			// robustness scenario leaves a stalled pin behind.
-			for i := 0; i < 8; i++ {
-				for _, h := range hs {
-					h.Guard().Collect()
-				}
-			}
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.PeakUnreclaimed = dom.PeakUnreclaimed
-		t.Stats = dom.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallRC(dom)
-		t.Pools = []PoolInfo{pool}
-	default:
-		return t, fmt.Errorf("bench: unknown scheme %q", scheme)
-	}
-	return t, nil
+		return func() Handle { return l.NewHandleRC(d.RC) }, []PoolInfo{pool}
+	},
 }
 
-func newHHSListTarget(scheme string, mode arena.Mode) (Target, error) {
-	t := Target{DS: "hhslist", Scheme: scheme}
-	switch scheme {
-	case "nr", "ebr", "pebr", "nbr", UnsafeScheme:
-		gd, d := guardDomain(scheme)
+var hhslistCtors = map[scheme.Family]ctor[Handle]{
+	scheme.CS: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
 		pool := hhslist.NewPool(mode)
 		l := hhslist.NewListCS(pool)
-		var hs []*hhslist.HandleCS
-		t.NewHandle = func() Handle {
-			h := l.NewHandleCS(gd)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() { drainGuards(guardsOfHHS(hs)) }
-		t.Unreclaimed = d.Unreclaimed
-		t.PeakUnreclaimed = d.PeakUnreclaimed
-		t.Stats = d.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallCS(gd)
-		t.Pools = []PoolInfo{pool}
-		t.Agitate = agitatorFor(d)
-	case "hp-scot", ScotUnsafeScheme:
-		dom := newSCOTDomain()
+		return func() Handle { return l.NewHandleCS(d.Guards) }, []PoolInfo{pool}
+	},
+	scheme.HPP: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
+		pool := hhslist.NewPool(mode)
+		l := hhslist.NewListHPP(pool)
+		return func() Handle { return l.NewHandleHPP(d.HPP) }, []PoolInfo{pool}
+	},
+	scheme.SCOT: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
 		pool := hhslist.NewPool(mode)
 		l := hhslist.NewListSCOT(pool)
 		// The novalidate control announces hazards but skips the SCOT
 		// handshake — detect-mode stress must flag it.
-		l.SkipValidation = scheme == ScotUnsafeScheme
-		var hs []*hhslist.HandleSCOT
-		t.NewHandle = func() Handle {
-			h := l.NewHandleSCOT(dom)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			for _, h := range hs {
-				h.Thread().Finish()
-			}
-			dom.NewThread(0).Reclaim()
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.PeakUnreclaimed = dom.PeakUnreclaimed
-		t.Stats = dom.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-		t.Pools = []PoolInfo{pool}
-	case "hp++", "hp++ef":
-		dom := newHPPDomain(scheme == "hp++ef")
-		pool := hhslist.NewPool(mode)
-		l := hhslist.NewListHPP(pool)
-		var hs []*hhslist.HandleHPP
-		t.NewHandle = func() Handle {
-			h := l.NewHandleHPP(dom)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			for _, h := range hs {
-				h.Thread().Finish()
-			}
-			dom.NewThread(0).Reclaim()
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.PeakUnreclaimed = dom.PeakUnreclaimed
-		t.Stats = dom.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-		t.Pools = []PoolInfo{pool}
-	case "rc":
-		dom := rc.NewDomain()
+		l.SkipValidation = d.SkipValidation
+		return func() Handle { return l.NewHandleSCOT(d.HP) }, []PoolInfo{pool}
+	},
+	scheme.RC: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
 		pool := hhslist.NewPoolRC(mode)
 		l := hhslist.NewListRC(pool)
-		var hs []*hhslist.HandleRC
-		t.NewHandle = func() Handle {
-			h := l.NewHandleRC(dom)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			// Bounded collection: Drain would spin forever when the
-			// robustness scenario leaves a stalled pin behind.
-			for i := 0; i < 8; i++ {
-				for _, h := range hs {
-					h.Guard().Collect()
-				}
-			}
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.PeakUnreclaimed = dom.PeakUnreclaimed
-		t.Stats = dom.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallRC(dom)
-		t.Pools = []PoolInfo{pool}
-	default:
-		return t, fmt.Errorf("bench: scheme %q not applicable to hhslist", scheme)
-	}
-	return t, nil
+		return func() Handle { return l.NewHandleRC(d.RC) }, []PoolInfo{pool}
+	},
 }
 
-func newHashMapTarget(scheme string, mode arena.Mode) (Target, error) {
-	t := Target{DS: "hashmap", Scheme: scheme}
-	nb := hashmap.DefaultBuckets
-	switch scheme {
-	case "nr", "ebr", "pebr", "nbr", UnsafeScheme:
-		gd, d := guardDomain(scheme)
+var hashmapCtors = map[scheme.Family]ctor[Handle]{
+	scheme.CS: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
 		pool := hhslist.NewPool(mode)
-		m := hashmap.NewMapCS(pool, nb)
-		var hs []*hashmap.HandleCS
-		t.NewHandle = func() Handle {
-			h := m.NewHandleCS(gd)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			var gs []smr.Guard
-			for _, h := range hs {
-				gs = append(gs, h.Guard())
-			}
-			drainGuards(gs)
-		}
-		t.Unreclaimed = d.Unreclaimed
-		t.PeakUnreclaimed = d.PeakUnreclaimed
-		t.Stats = d.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallCS(gd)
-		t.Pools = []PoolInfo{pool}
-		t.Agitate = agitatorFor(d)
-	case "hp":
-		dom := newHPDomain()
+		m := hashmap.NewMapCS(pool, hashmap.DefaultBuckets)
+		return func() Handle { return m.NewHandleCS(d.Guards) }, []PoolInfo{pool}
+	},
+	scheme.HP: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
 		pool := hmlist.NewPool(mode)
-		m := hashmap.NewMapHP(pool, nb)
-		var hs []*hashmap.HandleHP
-		t.NewHandle = func() Handle {
-			h := m.NewHandleHP(dom)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			for _, h := range hs {
-				h.Thread().Finish()
-			}
-			dom.NewThread(0).Reclaim()
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.PeakUnreclaimed = dom.PeakUnreclaimed
-		t.Stats = dom.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-		t.Pools = []PoolInfo{pool}
-	case "hp-scot":
-		dom := newSCOTDomain()
+		m := hashmap.NewMapHP(pool, hashmap.DefaultBuckets)
+		return func() Handle { return m.NewHandleHP(d.HP) }, []PoolInfo{pool}
+	},
+	scheme.HPP: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
 		pool := hhslist.NewPool(mode)
-		m := hashmap.NewMapSCOT(pool, nb)
-		var hs []*hashmap.HandleSCOT
-		t.NewHandle = func() Handle {
-			h := m.NewHandleSCOT(dom)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			for _, h := range hs {
-				h.Thread().Finish()
-			}
-			dom.NewThread(0).Reclaim()
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.PeakUnreclaimed = dom.PeakUnreclaimed
-		t.Stats = dom.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-		t.Pools = []PoolInfo{pool}
-	case "hp++", "hp++ef":
-		dom := newHPPDomain(scheme == "hp++ef")
+		m := hashmap.NewMapHPP(pool, hashmap.DefaultBuckets)
+		return func() Handle { return m.NewHandleHPP(d.HPP) }, []PoolInfo{pool}
+	},
+	scheme.SCOT: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
 		pool := hhslist.NewPool(mode)
-		m := hashmap.NewMapHPP(pool, nb)
-		var hs []*hashmap.HandleHPP
-		t.NewHandle = func() Handle {
-			h := m.NewHandleHPP(dom)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			for _, h := range hs {
-				h.Thread().Finish()
-			}
-			dom.NewThread(0).Reclaim()
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.PeakUnreclaimed = dom.PeakUnreclaimed
-		t.Stats = dom.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-		t.Pools = []PoolInfo{pool}
-	case "rc":
-		dom := rc.NewDomain()
+		m := hashmap.NewMapSCOT(pool, hashmap.DefaultBuckets)
+		return func() Handle { return m.NewHandleSCOT(d.HP) }, []PoolInfo{pool}
+	},
+	scheme.RC: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
 		pool := hhslist.NewPoolRC(mode)
-		m := hashmap.NewMapRC(pool, nb)
-		var hs []*hashmap.HandleRC
-		t.NewHandle = func() Handle {
-			h := m.NewHandleRC(dom)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			// Bounded collection: Drain would spin forever when the
-			// robustness scenario leaves a stalled pin behind.
-			for i := 0; i < 8; i++ {
-				for _, h := range hs {
-					h.Guard().Collect()
-				}
-			}
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.PeakUnreclaimed = dom.PeakUnreclaimed
-		t.Stats = dom.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallRC(dom)
-		t.Pools = []PoolInfo{pool}
-	default:
-		return t, fmt.Errorf("bench: unknown scheme %q", scheme)
-	}
-	return t, nil
-}
-
-func guardsOfHM(hs []*hmlist.HandleCS) []smr.Guard {
-	var gs []smr.Guard
-	for _, h := range hs {
-		gs = append(gs, h.Guard())
-	}
-	return gs
-}
-
-func guardsOfHHS(hs []*hhslist.HandleCS) []smr.Guard {
-	var gs []smr.Guard
-	for _, h := range hs {
-		gs = append(gs, h.Guard())
-	}
-	return gs
-}
-
-// drainGuards drains CS-style guards after a run.
-func drainGuards(gs []smr.Guard) {
-	for _, g := range gs {
-		switch gg := g.(type) {
-		case *pebr.Guard:
-			gg.ClearShields()
-		case *nbr.Guard:
-			gg.ClearCheckpoints()
-		}
-	}
-	for i := 0; i < 8; i++ {
-		for _, g := range gs {
-			switch gg := g.(type) {
-			case *ebr.Guard:
-				gg.Collect()
-			case *pebr.Guard:
-				gg.Collect()
-			case *nbr.Guard:
-				gg.Collect()
-			}
-		}
-	}
+		m := hashmap.NewMapRC(pool, hashmap.DefaultBuckets)
+		return func() Handle { return m.NewHandleRC(d.RC) }, []PoolInfo{pool}
+	},
 }

@@ -5,6 +5,7 @@ import (
 
 	"github.com/gosmr/gosmr/internal/arena"
 	"github.com/gosmr/gosmr/internal/kvsvc"
+	"github.com/gosmr/gosmr/internal/scheme"
 )
 
 // kvmap bench/stress parameters: small shards and few buckets so the
@@ -21,17 +22,17 @@ const (
 // reclamation domains, and drain. kvsvc.Handle and kvsvc.ArenaPool are
 // structural twins of Handle and PoolInfo, so the store plugs in
 // directly; only the pool slice needs an element-wise retype.
-func newKVMapTarget(scheme string, mode arena.Mode) (Target, error) {
+func newKVMapTarget(s *scheme.Desc, mode arena.Mode) (Target, error) {
 	st, err := kvsvc.NewStore(kvsvc.Config{
 		Shards:  kvmapShards,
-		Scheme:  scheme,
+		Scheme:  s.Name,
 		Mode:    mode,
 		Buckets: kvmapBuckets,
 	})
 	if err != nil {
 		return Target{}, fmt.Errorf("bench: kvmap: %w", err)
 	}
-	t := Target{DS: "kvmap", Scheme: scheme}
+	t := Target{DS: "kvmap", Scheme: s.Name}
 	t.NewHandle = func() Handle { return st.NewHandle() }
 	t.Finish = st.Drain
 	t.Unreclaimed = st.Unreclaimed

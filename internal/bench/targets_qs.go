@@ -1,18 +1,16 @@
 package bench
 
 import (
-	"fmt"
-
 	"github.com/gosmr/gosmr/internal/arena"
 	"github.com/gosmr/gosmr/internal/ds/msqueue"
 	"github.com/gosmr/gosmr/internal/ds/tstack"
-	"github.com/gosmr/gosmr/internal/smr"
+	"github.com/gosmr/gosmr/internal/scheme"
 )
 
 // The queue and stack are not part of the paper's Table 2 throughput
 // matrix (they have no Get/Insert/Delete surface), but they ARE part of
 // the safety matrix: this file registers them as first-class stress
-// targets so the linearizability harness sweeps all nine structures.
+// targets so the linearizability harness sweeps every structure.
 
 // QueueHandle is the per-worker operation surface of queue targets.
 type QueueHandle interface {
@@ -26,156 +24,55 @@ type StackHandle interface {
 	Pop() (uint64, bool)
 }
 
-// QueueSchemes lists the schemes with an MS-queue variant. The queue
-// predates HP++'s optimistic traversal problem — original HP already
-// protects it — so only the HP family is implemented.
-var QueueSchemes = []string{"hp", "hp++", "hp++ef"}
-
-// StackSchemes lists the schemes with a Treiber-stack variant: the HP
-// family plus every critical-section scheme (the CS stack works with any
-// smr.GuardDomain, including the unsafefree control).
-var StackSchemes = []string{"nr", "ebr", "pebr", "nbr", "hp", "hp++", "hp++ef"}
-
 // QueueTarget is one (msqueue, scheme) instance under test.
-type QueueTarget struct {
-	Scheme      string
-	NewHandle   func() QueueHandle
-	Finish      func()
-	Unreclaimed func() int64
-	Stats       func() smr.Stats
-	Pools       []PoolInfo
-	Stall       func()
-	// StallRelease finishes every participant Stall created.
-	StallRelease func()
-	Agitate      func()
-}
+type QueueTarget = TargetOf[QueueHandle]
 
 // StackTarget is one (tstack, scheme) instance under test.
-type StackTarget struct {
-	Scheme      string
-	NewHandle   func() StackHandle
-	Finish      func()
-	Unreclaimed func() int64
-	Stats       func() smr.Stats
-	Pools       []PoolInfo
-	Stall       func()
-	// StallRelease finishes every participant Stall created.
-	StallRelease func()
-	Agitate      func()
-}
+type StackTarget = TargetOf[StackHandle]
+
+// queue registers the MS queue. It predates HP++'s optimistic traversal
+// problem — original HP already protects it — so only the HP family is
+// implemented.
+var queue = &structure[QueueHandle]{name: "msqueue", ctors: map[scheme.Family]ctor[QueueHandle]{
+	scheme.HP: func(d *scheme.Domain, mode arena.Mode) (func() QueueHandle, []PoolInfo) {
+		pool := msqueue.NewPool(mode)
+		q := msqueue.NewQueueHP(pool)
+		return func() QueueHandle { return q.NewHandleHP(d.HP) }, []PoolInfo{pool}
+	},
+	scheme.HPP: func(d *scheme.Domain, mode arena.Mode) (func() QueueHandle, []PoolInfo) {
+		pool := msqueue.NewPool(mode)
+		q := msqueue.NewQueueHPP(pool)
+		return func() QueueHandle { return q.NewHandleHPP(d.HPP) }, []PoolInfo{pool}
+	},
+}}
+
+// stack registers the Treiber stack: the HP family plus every
+// critical-section scheme (the CS stack works with any
+// smr.GuardDomain, including the unsafefree control).
+var stack = &structure[StackHandle]{name: "tstack", ctors: map[scheme.Family]ctor[StackHandle]{
+	scheme.CS: func(d *scheme.Domain, mode arena.Mode) (func() StackHandle, []PoolInfo) {
+		pool := tstack.NewPool(mode)
+		s := tstack.NewStackCS(pool)
+		return func() StackHandle { return s.NewHandleCS(d.Guards) }, []PoolInfo{pool}
+	},
+	scheme.HP: func(d *scheme.Domain, mode arena.Mode) (func() StackHandle, []PoolInfo) {
+		pool := tstack.NewPool(mode)
+		s := tstack.NewStackHP(pool)
+		return func() StackHandle { return s.NewHandleHP(d.HP) }, []PoolInfo{pool}
+	},
+	scheme.HPP: func(d *scheme.Domain, mode arena.Mode) (func() StackHandle, []PoolInfo) {
+		pool := tstack.NewPool(mode)
+		s := tstack.NewStackHPP(pool)
+		return func() StackHandle { return s.NewHandleHPP(d.HPP) }, []PoolInfo{pool}
+	},
+}}
 
 // NewQueueTarget builds a fresh MS-queue target for one scheme.
-func NewQueueTarget(scheme string, mode arena.Mode) (QueueTarget, error) {
-	t := QueueTarget{Scheme: scheme}
-	pool := msqueue.NewPool(mode)
-	t.Pools = []PoolInfo{pool}
-	switch scheme {
-	case "hp":
-		dom := newHPDomain()
-		q := msqueue.NewQueueHP(pool)
-		var hs []*msqueue.HandleHP
-		t.NewHandle = func() QueueHandle {
-			h := q.NewHandleHP(dom)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			for _, h := range hs {
-				h.Thread().Finish()
-			}
-			dom.NewThread(0).Reclaim()
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.Stats = dom.Stats
-		t.Stall, t.StallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-	case "hp++", "hp++ef":
-		dom := newHPPDomain(scheme == "hp++ef")
-		q := msqueue.NewQueueHPP(pool)
-		var hs []*msqueue.HandleHPP
-		t.NewHandle = func() QueueHandle {
-			h := q.NewHandleHPP(dom)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			for _, h := range hs {
-				h.Thread().Finish()
-			}
-			dom.NewThread(0).Reclaim()
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.Stats = dom.Stats
-		t.Stall, t.StallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-	default:
-		return t, fmt.Errorf("bench: scheme %q not applicable to msqueue", scheme)
-	}
-	return t, nil
+func NewQueueTarget(name string, mode arena.Mode) (QueueTarget, error) {
+	return queue.target(name, mode)
 }
 
 // NewStackTarget builds a fresh Treiber-stack target for one scheme.
-func NewStackTarget(scheme string, mode arena.Mode) (StackTarget, error) {
-	t := StackTarget{Scheme: scheme}
-	pool := tstack.NewPool(mode)
-	t.Pools = []PoolInfo{pool}
-	switch scheme {
-	case "nr", "ebr", "pebr", "nbr", UnsafeScheme:
-		gd, d := guardDomain(scheme)
-		s := tstack.NewStackCS(pool)
-		var hs []*tstack.StackHandleCS
-		t.NewHandle = func() StackHandle {
-			h := s.NewHandleCS(gd)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			var gs []smr.Guard
-			for _, h := range hs {
-				gs = append(gs, h.Guard())
-			}
-			drainGuards(gs)
-		}
-		t.Unreclaimed = d.Unreclaimed
-		t.Stats = d.Stats
-		t.Stall, t.StallRelease = stallCS(gd)
-		t.Agitate = agitatorFor(d)
-	case "hp":
-		dom := newHPDomain()
-		s := tstack.NewStackHP(pool)
-		var hs []*tstack.StackHandleHP
-		t.NewHandle = func() StackHandle {
-			h := s.NewHandleHP(dom)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			for _, h := range hs {
-				h.Thread().Finish()
-			}
-			dom.NewThread(0).Reclaim()
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.Stats = dom.Stats
-		t.Stall, t.StallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-	case "hp++", "hp++ef":
-		dom := newHPPDomain(scheme == "hp++ef")
-		s := tstack.NewStackHPP(pool)
-		var hs []*tstack.StackHandleHPP
-		t.NewHandle = func() StackHandle {
-			h := s.NewHandleHPP(dom)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			for _, h := range hs {
-				h.Thread().Finish()
-			}
-			dom.NewThread(0).Reclaim()
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.Stats = dom.Stats
-		t.Stall, t.StallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-	default:
-		return t, fmt.Errorf("bench: scheme %q not applicable to tstack", scheme)
-	}
-	return t, nil
+func NewStackTarget(name string, mode arena.Mode) (StackTarget, error) {
+	return stack.target(name, mode)
 }

@@ -1,13 +1,11 @@
 package bench
 
 import (
-	"fmt"
-
 	"github.com/gosmr/gosmr/internal/arena"
 	"github.com/gosmr/gosmr/internal/ds/hhslist"
 	"github.com/gosmr/gosmr/internal/ds/hmlist"
 	"github.com/gosmr/gosmr/internal/ds/somap"
-	"github.com/gosmr/gosmr/internal/smr"
+	"github.com/gosmr/gosmr/internal/scheme"
 )
 
 // Somap target knobs, read at target construction like FixedReclaimEvery.
@@ -28,101 +26,25 @@ func somapCfg() somap.Config {
 	return somap.Config{InitialBuckets: SomapInitialBuckets, MaxLoad: SomapMaxLoad}
 }
 
-func newSomapTarget(scheme string, mode arena.Mode) (Target, error) {
-	t := Target{DS: "somap", Scheme: scheme}
-	switch scheme {
-	case "nr", "ebr", "pebr", "nbr", UnsafeScheme:
-		gd, d := guardDomain(scheme)
+var somapCtors = map[scheme.Family]ctor[Handle]{
+	scheme.CS: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
 		pool := hhslist.NewPool(mode)
 		m := somap.NewMapCS(pool, somapCfg())
-		var hs []*somap.HandleCS
-		t.NewHandle = func() Handle {
-			h := m.NewHandleCS(gd)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			var gs []smr.Guard
-			for _, h := range hs {
-				gs = append(gs, h.Guard())
-			}
-			drainGuards(gs)
-		}
-		t.Unreclaimed = d.Unreclaimed
-		t.PeakUnreclaimed = d.PeakUnreclaimed
-		t.Stats = d.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallCS(gd)
-		t.Pools = []PoolInfo{pool}
-		t.Agitate = agitatorFor(d)
-	case "hp":
-		dom := newHPDomain()
+		return func() Handle { return m.NewHandleCS(d.Guards) }, []PoolInfo{pool}
+	},
+	scheme.HP: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
 		pool := hmlist.NewPool(mode)
 		m := somap.NewMapHP(pool, somapCfg())
-		var hs []*somap.HandleHP
-		t.NewHandle = func() Handle {
-			h := m.NewHandleHP(dom)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			for _, h := range hs {
-				h.Thread().Finish()
-			}
-			dom.NewThread(0).Reclaim()
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.PeakUnreclaimed = dom.PeakUnreclaimed
-		t.Stats = dom.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-		t.Pools = []PoolInfo{pool}
-	case "hp-scot":
-		dom := newSCOTDomain()
-		pool := hhslist.NewPool(mode)
-		m := somap.NewMapSCOT(pool, somapCfg())
-		var hs []*somap.HandleSCOT
-		t.NewHandle = func() Handle {
-			h := m.NewHandleSCOT(dom)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			for _, h := range hs {
-				h.Thread().Finish()
-			}
-			dom.NewThread(0).Reclaim()
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.PeakUnreclaimed = dom.PeakUnreclaimed
-		t.Stats = dom.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-		t.Pools = []PoolInfo{pool}
-	case "hp++", "hp++ef":
-		dom := newHPPDomain(scheme == "hp++ef")
+		return func() Handle { return m.NewHandleHP(d.HP) }, []PoolInfo{pool}
+	},
+	scheme.HPP: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
 		pool := hhslist.NewPool(mode)
 		m := somap.NewMapHPP(pool, somapCfg())
-		var hs []*somap.HandleHPP
-		t.NewHandle = func() Handle {
-			h := m.NewHandleHPP(dom)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			for _, h := range hs {
-				h.Thread().Finish()
-			}
-			dom.NewThread(0).Reclaim()
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.PeakUnreclaimed = dom.PeakUnreclaimed
-		t.Stats = dom.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-		t.Pools = []PoolInfo{pool}
-	default:
-		return t, fmt.Errorf("bench: scheme %q not applicable to somap", scheme)
-	}
-	return t, nil
+		return func() Handle { return m.NewHandleHPP(d.HPP) }, []PoolInfo{pool}
+	},
+	scheme.SCOT: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
+		pool := hhslist.NewPool(mode)
+		m := somap.NewMapSCOT(pool, somapCfg())
+		return func() Handle { return m.NewHandleSCOT(d.HP) }, []PoolInfo{pool}
+	},
 }

@@ -1,337 +1,116 @@
 package bench
 
 import (
-	"fmt"
-
 	"github.com/gosmr/gosmr/internal/arena"
 	"github.com/gosmr/gosmr/internal/ds/bonsai"
 	"github.com/gosmr/gosmr/internal/ds/efrbtree"
 	"github.com/gosmr/gosmr/internal/ds/nmtree"
 	"github.com/gosmr/gosmr/internal/ds/skiplist"
-	"github.com/gosmr/gosmr/internal/rc"
-	"github.com/gosmr/gosmr/internal/smr"
+	"github.com/gosmr/gosmr/internal/scheme"
 )
 
-// The tree and skiplist targets are registered in this file as their
-// packages land; see targets.go for the list/list-based registrations.
+// The tree and skiplist constructors; targets.go registers them.
 
-func newSkipListTarget(scheme string, mode arena.Mode) (Target, error) {
-	t := Target{DS: "skiplist", Scheme: scheme}
+// skiplistSeeds returns a per-target handle seed stream, so towers are
+// reproducible run to run.
+func skiplistSeeds() func() uint64 {
 	var seed uint64 = 0x51ED5EED
-	nextSeed := func() uint64 { seed += 0x9E3779B97F4A7C15; return seed }
-	switch scheme {
-	case "nr", "ebr", "pebr", "nbr", UnsafeScheme:
-		gd, d := guardDomain(scheme)
+	return func() uint64 { seed += 0x9E3779B97F4A7C15; return seed }
+}
+
+var skiplistCtors = map[scheme.Family]ctor[Handle]{
+	scheme.CS: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
 		pool := skiplist.NewPool(mode)
 		l := skiplist.NewListCS(pool)
-		var gs []smr.Guard
-		t.NewHandle = func() Handle {
-			h := l.NewHandleCS(gd)
-			h.Seed(nextSeed())
-			gs = append(gs, h.Guard())
+		next := skiplistSeeds()
+		return func() Handle {
+			h := l.NewHandleCS(d.Guards)
+			h.Seed(next())
 			return h
-		}
-		t.Finish = func() { drainGuards(gs) }
-		t.Unreclaimed = d.Unreclaimed
-		t.PeakUnreclaimed = d.PeakUnreclaimed
-		t.Stats = d.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallCS(gd)
-		t.Pools = []PoolInfo{pool}
-		t.Agitate = agitatorFor(d)
-	case "hp":
-		dom := newHPDomain()
+		}, []PoolInfo{pool}
+	},
+	scheme.HP: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
 		pool := skiplist.NewPool(mode)
 		l := skiplist.NewListHP(pool)
-		var hs []*skiplist.HandleHP
-		t.NewHandle = func() Handle {
-			h := l.NewHandleHP(dom)
-			h.Seed(nextSeed())
-			hs = append(hs, h)
+		next := skiplistSeeds()
+		return func() Handle {
+			h := l.NewHandleHP(d.HP)
+			h.Seed(next())
 			return h
-		}
-		t.Finish = func() {
-			for _, h := range hs {
-				h.Thread().Finish()
-			}
-			dom.NewThread(0).Reclaim()
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.PeakUnreclaimed = dom.PeakUnreclaimed
-		t.Stats = dom.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-		t.Pools = []PoolInfo{pool}
-	case "hp++", "hp++ef":
-		dom := newHPPDomain(scheme == "hp++ef")
+		}, []PoolInfo{pool}
+	},
+	scheme.HPP: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
 		pool := skiplist.NewPool(mode)
 		l := skiplist.NewListHPP(pool)
-		var hs []*skiplist.HandleHPP
-		t.NewHandle = func() Handle {
-			h := l.NewHandleHPP(dom)
-			h.Seed(nextSeed())
-			hs = append(hs, h)
+		next := skiplistSeeds()
+		return func() Handle {
+			h := l.NewHandleHPP(d.HPP)
+			h.Seed(next())
 			return h
-		}
-		t.Finish = func() {
-			for _, h := range hs {
-				h.Thread().Finish()
-			}
-			dom.NewThread(0).Reclaim()
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.PeakUnreclaimed = dom.PeakUnreclaimed
-		t.Stats = dom.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-		t.Pools = []PoolInfo{pool}
-	case "rc":
-		dom := rc.NewDomain()
+		}, []PoolInfo{pool}
+	},
+	scheme.RC: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
 		pool := skiplist.NewPoolRC(mode)
 		l := skiplist.NewListRC(pool)
-		var hs []*skiplist.HandleRC
-		t.NewHandle = func() Handle {
-			h := l.NewHandleRC(dom)
-			h.Seed(nextSeed())
-			hs = append(hs, h)
+		next := skiplistSeeds()
+		return func() Handle {
+			h := l.NewHandleRC(d.RC)
+			h.Seed(next())
 			return h
-		}
-		t.Finish = func() {
-			// Bounded collection: Drain would spin forever when the
-			// robustness scenario leaves a stalled pin behind.
-			for i := 0; i < 8; i++ {
-				for _, h := range hs {
-					h.Guard().Collect()
-				}
-			}
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.PeakUnreclaimed = dom.PeakUnreclaimed
-		t.Stats = dom.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallRC(dom)
-		t.Pools = []PoolInfo{pool}
-	default:
-		return t, fmt.Errorf("bench: unknown scheme %q", scheme)
-	}
-	return t, nil
+		}, []PoolInfo{pool}
+	},
 }
 
-func newNMTreeTarget(scheme string, mode arena.Mode) (Target, error) {
-	t := Target{DS: "nmtree", Scheme: scheme}
-	switch scheme {
-	case "nr", "ebr", "pebr", "nbr", UnsafeScheme:
-		gd, d := guardDomain(scheme)
+var nmtreeCtors = map[scheme.Family]ctor[Handle]{
+	scheme.CS: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
 		pool := nmtree.NewPool(mode)
 		tr := nmtree.NewTreeCS(pool)
-		var gs []smr.Guard
-		t.NewHandle = func() Handle {
-			h := tr.NewHandleCS(gd)
-			gs = append(gs, h.Guard())
-			return h
-		}
-		t.Finish = func() { drainGuards(gs) }
-		t.Unreclaimed = d.Unreclaimed
-		t.PeakUnreclaimed = d.PeakUnreclaimed
-		t.Stats = d.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallCS(gd)
-		t.Pools = []PoolInfo{pool}
-		t.Agitate = agitatorFor(d)
-	case "hp++", "hp++ef":
-		dom := newHPPDomain(scheme == "hp++ef")
+		return func() Handle { return tr.NewHandleCS(d.Guards) }, []PoolInfo{pool}
+	},
+	scheme.HPP: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
 		pool := nmtree.NewPool(mode)
 		tr := nmtree.NewTreeHPP(pool)
-		var hs []*nmtree.HandleHPP
-		t.NewHandle = func() Handle {
-			h := tr.NewHandleHPP(dom)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			for _, h := range hs {
-				h.Thread().Finish()
-			}
-			dom.NewThread(0).Reclaim()
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.PeakUnreclaimed = dom.PeakUnreclaimed
-		t.Stats = dom.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-		t.Pools = []PoolInfo{pool}
-	default:
-		return t, fmt.Errorf("bench: scheme %q not applicable to nmtree", scheme)
-	}
-	return t, nil
+		return func() Handle { return tr.NewHandleHPP(d.HPP) }, []PoolInfo{pool}
+	},
 }
 
-func newEFRBTarget(scheme string, mode arena.Mode) (Target, error) {
-	t := Target{DS: "efrbtree", Scheme: scheme}
-	switch scheme {
-	case "nr", "ebr", "pebr", "nbr", UnsafeScheme:
-		gd, d := guardDomain(scheme)
-		nodes := efrbtree.NewNodePool(mode)
-		infos := efrbtree.NewInfoPool(mode)
+var efrbCtors = map[scheme.Family]ctor[Handle]{
+	scheme.CS: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
+		nodes, infos := efrbtree.NewNodePool(mode), efrbtree.NewInfoPool(mode)
 		tr := efrbtree.NewTreeCS(nodes, infos)
-		var gs []smr.Guard
-		t.NewHandle = func() Handle {
-			h := tr.NewHandleCS(gd)
-			gs = append(gs, h.Guard())
-			return h
-		}
-		t.Finish = func() { drainGuards(gs) }
-		t.Unreclaimed = d.Unreclaimed
-		t.PeakUnreclaimed = d.PeakUnreclaimed
-		t.Stats = d.Stats
-		t.MemBytes = func() int64 { return nodes.Stats().Bytes + infos.Stats().Bytes }
-		t.Stall, t.StallRelease = stallCS(gd)
-		t.Pools = []PoolInfo{nodes, infos}
-		t.Agitate = agitatorFor(d)
-	case "hp":
-		dom := newHPDomain()
-		nodes := efrbtree.NewNodePool(mode)
-		infos := efrbtree.NewInfoPool(mode)
+		return func() Handle { return tr.NewHandleCS(d.Guards) }, []PoolInfo{nodes, infos}
+	},
+	scheme.HP: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
+		nodes, infos := efrbtree.NewNodePool(mode), efrbtree.NewInfoPool(mode)
 		tr := efrbtree.NewTreeHP(nodes, infos)
-		var hs []*efrbtree.HandleHP
-		t.NewHandle = func() Handle {
-			h := tr.NewHandleHP(dom)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			for _, h := range hs {
-				h.Thread().Finish()
-			}
-			dom.NewThread(0).Reclaim()
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.PeakUnreclaimed = dom.PeakUnreclaimed
-		t.Stats = dom.Stats
-		t.MemBytes = func() int64 { return nodes.Stats().Bytes + infos.Stats().Bytes }
-		t.Stall, t.StallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-		t.Pools = []PoolInfo{nodes, infos}
-	case "hp++", "hp++ef":
-		dom := newHPPDomain(scheme == "hp++ef")
-		nodes := efrbtree.NewNodePool(mode)
-		infos := efrbtree.NewInfoPool(mode)
+		return func() Handle { return tr.NewHandleHP(d.HP) }, []PoolInfo{nodes, infos}
+	},
+	scheme.HPP: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
+		nodes, infos := efrbtree.NewNodePool(mode), efrbtree.NewInfoPool(mode)
 		tr := efrbtree.NewTreeHPP(nodes, infos)
-		var hs []*efrbtree.HandleHPP
-		t.NewHandle = func() Handle {
-			h := tr.NewHandleHPP(dom)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			for _, h := range hs {
-				h.Thread().Finish()
-			}
-			dom.NewThread(0).Reclaim()
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.PeakUnreclaimed = dom.PeakUnreclaimed
-		t.Stats = dom.Stats
-		t.MemBytes = func() int64 { return nodes.Stats().Bytes + infos.Stats().Bytes }
-		t.Stall, t.StallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-		t.Pools = []PoolInfo{nodes, infos}
-	default:
-		return t, fmt.Errorf("bench: scheme %q not applicable to efrbtree", scheme)
-	}
-	return t, nil
+		return func() Handle { return tr.NewHandleHPP(d.HPP) }, []PoolInfo{nodes, infos}
+	},
 }
 
-func newBonsaiTarget(scheme string, mode arena.Mode) (Target, error) {
-	t := Target{DS: "bonsai", Scheme: scheme}
-	switch scheme {
-	case "nr", "ebr", "pebr", "nbr", UnsafeScheme:
-		gd, d := guardDomain(scheme)
+var bonsaiCtors = map[scheme.Family]ctor[Handle]{
+	scheme.CS: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
 		pool := bonsai.NewPool(mode)
 		tr := bonsai.NewTreeCS(pool)
-		var gs []smr.Guard
-		t.NewHandle = func() Handle {
-			h := tr.NewHandleCS(gd)
-			gs = append(gs, h.Guard())
-			return h
-		}
-		t.Finish = func() { drainGuards(gs) }
-		t.Unreclaimed = d.Unreclaimed
-		t.PeakUnreclaimed = d.PeakUnreclaimed
-		t.Stats = d.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallCS(gd)
-		t.Pools = []PoolInfo{pool}
-		t.Agitate = agitatorFor(d)
-	case "hp":
-		dom := newHPDomain()
+		return func() Handle { return tr.NewHandleCS(d.Guards) }, []PoolInfo{pool}
+	},
+	scheme.HP: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
 		pool := bonsai.NewPool(mode)
 		tr := bonsai.NewTreeHP(pool)
-		var hs []*bonsai.HandleHP
-		t.NewHandle = func() Handle {
-			h := tr.NewHandleHP(dom)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			for _, h := range hs {
-				h.Thread().Finish()
-			}
-			dom.NewThread(0).Reclaim()
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.PeakUnreclaimed = dom.PeakUnreclaimed
-		t.Stats = dom.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-		t.Pools = []PoolInfo{pool}
-	case "hp++", "hp++ef":
-		dom := newHPPDomain(scheme == "hp++ef")
+		return func() Handle { return tr.NewHandleHP(d.HP) }, []PoolInfo{pool}
+	},
+	scheme.HPP: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
 		pool := bonsai.NewPool(mode)
 		tr := bonsai.NewTreeHPP(pool)
-		var hs []*bonsai.HandleHPP
-		t.NewHandle = func() Handle {
-			h := tr.NewHandleHPP(dom)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			for _, h := range hs {
-				h.Thread().Finish()
-			}
-			dom.NewThread(0).Reclaim()
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.PeakUnreclaimed = dom.PeakUnreclaimed
-		t.Stats = dom.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-		t.Pools = []PoolInfo{pool}
-	case "rc":
-		dom := rc.NewDomain()
+		return func() Handle { return tr.NewHandleHPP(d.HPP) }, []PoolInfo{pool}
+	},
+	scheme.RC: func(d *scheme.Domain, mode arena.Mode) (func() Handle, []PoolInfo) {
 		pool := bonsai.NewPoolRC(mode)
 		tr := bonsai.NewTreeRC(pool)
-		var hs []*bonsai.HandleRC
-		t.NewHandle = func() Handle {
-			h := tr.NewHandleRC(dom)
-			hs = append(hs, h)
-			return h
-		}
-		t.Finish = func() {
-			// Bounded collection: Drain would spin forever when the
-			// robustness scenario leaves a stalled pin behind.
-			for i := 0; i < 8; i++ {
-				for _, h := range hs {
-					h.Guard().Collect()
-				}
-			}
-		}
-		t.Unreclaimed = dom.Unreclaimed
-		t.PeakUnreclaimed = dom.PeakUnreclaimed
-		t.Stats = dom.Stats
-		t.MemBytes = func() int64 { return pool.Stats().Bytes }
-		t.Stall, t.StallRelease = stallRC(dom)
-		t.Pools = []PoolInfo{pool}
-	default:
-		return t, fmt.Errorf("bench: unknown scheme %q", scheme)
-	}
-	return t, nil
+		return func() Handle { return tr.NewHandleRC(d.RC) }, []PoolInfo{pool}
+	},
 }

@@ -160,10 +160,13 @@ func (h *HandleCS) helpDelete(info uint64) (done, aborted bool) {
 	if pn.update.Load() == marked {
 		return true, h.helpMarked(info)
 	}
-	// Someone else owns p: help them, then back the delete out.
-	h.helpUpdateOf(p)
+	// Someone else owns p: back the delete out, then help them. The
+	// backtrack goes first because nested helping re-targets the shield
+	// slots, after which gp is no longer announced: a guard neutralized
+	// (NBR) or ejected (PEBR) mid-help would then touch an unprotected gp.
 	t.nodes.Deref(gp).update.CompareAndSwap(
 		packUpdate(info, stateDFlag), packUpdate(info, stateClean))
+	h.helpUpdateOf(p)
 	return false, false
 }
 
@@ -210,6 +213,9 @@ func (h *HandleCS) helpMarked(info uint64) (aborted bool) {
 	if !h.g.Track(slotSib, other) {
 		return true
 	}
+	p, victim := op.p, op.l
+	var unlinked [3]uint64
+	n := 0
 	on := t.nodes.Deref(other)
 	if tagptr.RefOf(on.left.Load()) == 0 {
 		cp, cn := t.nodes.Alloc()
@@ -217,18 +223,23 @@ func (h *HandleCS) helpMarked(info uint64) (aborted bool) {
 		cn.update.Store(0)
 		cn.left.Store(0)
 		cn.right.Store(0)
-		if edge.CompareAndSwap(tagptr.Pack(op.p, 0), tagptr.Pack(cp, 0)) {
-			h.g.Retire(op.p, t.nodes)
-			h.g.Retire(op.l, t.nodes)
-			h.g.Retire(other, t.nodes)
+		if edge.CompareAndSwap(tagptr.Pack(p, 0), tagptr.Pack(cp, 0)) {
+			unlinked, n = [3]uint64{p, victim, other}, 3
 		} else {
 			t.nodes.Free(cp)
 		}
-	} else if edge.CompareAndSwap(tagptr.Pack(op.p, 0), tagptr.Pack(other, 0)) {
-		h.g.Retire(op.p, t.nodes)
-		h.g.Retire(op.l, t.nodes)
+	} else if edge.CompareAndSwap(tagptr.Pack(p, 0), tagptr.Pack(other, 0)) {
+		unlinked, n = [3]uint64{p, victim}, 2
 	}
 	gpn.update.CompareAndSwap(packUpdate(info, stateDFlag), packUpdate(info, stateClean))
+	// Retire only after gp stops showing DFLAG(info) (every helper's
+	// unflag CAS leaves it clean): until then a helper that pins now can
+	// still reach p, the victim and the survivor through the descriptor,
+	// and the epoch no longer covers it when the splicer was neutralized
+	// (NBR) or ejected (PEBR) after its own pin.
+	for _, ref := range unlinked[:n] {
+		h.g.Retire(ref, t.nodes)
+	}
 	return false
 }
 

@@ -18,7 +18,7 @@ func TestLinearizableShared(t *testing.T) {
 	if testing.Short() {
 		ops = 400
 	}
-	for _, scheme := range bench.QueueSchemes {
+	for _, scheme := range bench.SchemesFor("msqueue") {
 		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
 			target, err := bench.NewQueueTarget(scheme, arena.ModeDetect)

@@ -34,11 +34,8 @@ func TestLinearizableDuringResize(t *testing.T) {
 		ops = 300
 	}
 	setStorm(t)
-	for _, scheme := range bench.Schemes {
+	for _, scheme := range bench.SchemesFor("somap") {
 		scheme := scheme
-		if !bench.Applicable("somap", scheme) {
-			continue
-		}
 		t.Run(scheme, func(t *testing.T) {
 			target, err := bench.NewTarget("somap", scheme, arena.ModeDetect)
 			if err != nil {

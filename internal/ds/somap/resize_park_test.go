@@ -7,6 +7,7 @@ import (
 
 	"github.com/gosmr/gosmr/internal/arena"
 	"github.com/gosmr/gosmr/internal/bench"
+	"github.com/gosmr/gosmr/internal/scheme"
 )
 
 // These are the deterministic resize regressions: a reader is parked
@@ -155,9 +156,10 @@ func runParkedResize(t *testing.T, scheme string) (int64, int64) {
 // parked across the directory swap — the parked protection bounds the
 // garbage, it does not stall the domain.
 func TestParkedReaderResizeHPP(t *testing.T) {
-	for _, scheme := range []string{"hp++", "hp++ef"} {
-		t.Run(scheme, func(t *testing.T) {
-			frees, _ := runParkedResize(t, scheme)
+	hpp := scheme.Names(func(s *scheme.Desc) bool { return s.Family == scheme.HPP })
+	for _, name := range hpp {
+		t.Run(name, func(t *testing.T) {
+			frees, _ := runParkedResize(t, name)
 			if frees == 0 {
 				t.Fatal("HP++ freed nothing while the reader was parked; reclamation stalled")
 			}

@@ -5,12 +5,10 @@
 // loops.
 //
 // A Store is a fixed array of shards. Each shard owns its *own*
-// reclamation domain — a core.Domain for HP++, an hp/ebr/pebr/nr domain
-// otherwise — and its own arena-backed hash map: by default the
-// split-ordered resizable map (internal/ds/somap), whose directory
-// doubles as the shard fills, or the legacy fixed-size chaining map
-// behind Config.Engine = "hashmap". The shard-per-domain layout is
-// deliberate:
+// reclamation domain (built from the scheme table, internal/scheme) and
+// its own arena-backed split-ordered resizable map (internal/ds/somap),
+// whose directory doubles as the shard fills. The shard-per-domain
+// layout is deliberate:
 //
 //   - reclamation pressure is confined: a stalled or slow reader on one
 //     shard bounds that shard's garbage, not the whole store's;
@@ -36,41 +34,12 @@ import (
 	"sync"
 
 	"github.com/gosmr/gosmr/internal/arena"
-	"github.com/gosmr/gosmr/internal/core"
-	"github.com/gosmr/gosmr/internal/ds/hashmap"
 	"github.com/gosmr/gosmr/internal/ds/hhslist"
 	"github.com/gosmr/gosmr/internal/ds/hmlist"
 	"github.com/gosmr/gosmr/internal/ds/somap"
-	"github.com/gosmr/gosmr/internal/ebr"
-	"github.com/gosmr/gosmr/internal/hp"
-	"github.com/gosmr/gosmr/internal/nbr"
-	"github.com/gosmr/gosmr/internal/nr"
-	"github.com/gosmr/gosmr/internal/pebr"
+	"github.com/gosmr/gosmr/internal/scheme"
 	"github.com/gosmr/gosmr/internal/smr"
-	"github.com/gosmr/gosmr/internal/unsafefree"
 )
-
-// Schemes lists the reclamation schemes a Store can run on — the bench
-// registry (bench.Schemes) minus RC, whose guards retain cross-bucket
-// traces that the service's long-lived pooled handles would never drain
-// promptly. A pin test (schemes_test.go) enforces the "registry minus
-// rc" relation so new schemes cannot be silently dropped here.
-var Schemes = []string{"nr", "ebr", "pebr", "nbr", "hp", "hp++", "hp++ef", "hp-scot"}
-
-// UnsafeScheme is the deliberately broken immediate-free control. It is
-// accepted by NewStore so the stress harness can run the must-fail cell,
-// but it is not in Schemes and gosmrd refuses it.
-const UnsafeScheme = "unsafefree"
-
-// ValidScheme reports whether scheme is servable (UnsafeScheme is not).
-func ValidScheme(scheme string) bool {
-	for _, s := range Schemes {
-		if s == scheme {
-			return true
-		}
-	}
-	return false
-}
 
 // Handle is the per-worker operation surface. It is structurally
 // identical to bench.Handle, so Store handles plug straight into the
@@ -93,40 +62,18 @@ type ArenaPool interface {
 	SetDerefHook(func(uint64))
 }
 
-// Engines lists the per-shard map engines a Store can run on. "somap"
-// (the default) is the split-ordered resizable hash map: the directory
-// doubles as the shard fills, so a shard holds a million keys with the
-// same p99 it shows at ten thousand. "hashmap" is the legacy fixed-size
-// chaining map; chains grow linearly past Buckets items, so it is kept
-// for comparison runs and for workloads with a known, bounded key set.
-var Engines = []string{"somap", "hashmap"}
-
-// ValidEngine reports whether engine names a known shard engine.
-func ValidEngine(engine string) bool {
-	for _, e := range Engines {
-		if e == engine {
-			return true
-		}
-	}
-	return false
-}
-
 // Config parameterizes a Store.
 type Config struct {
 	// Shards is the number of independent (domain, map) pairs (default 8).
 	Shards int
-	// Scheme selects the reclamation scheme (default "hp++").
+	// Scheme selects the reclamation scheme (default "hp++"): a servable
+	// scheme of the scheme table, or the unsafefree control.
 	Scheme string
 	// Mode is the arena mode: ModeReuse to serve, ModeDetect to stress.
 	Mode arena.Mode
-	// Buckets is the per-shard bucket count (default 256). For the somap
-	// engine this is only the *initial* directory size — the map doubles
-	// itself past it on load; for hashmap it is fixed for the store's
-	// lifetime.
+	// Buckets is the per-shard initial directory size (default 256); the
+	// map doubles itself past it on load.
 	Buckets int
-	// Engine selects the per-shard map ("somap" default, "hashmap"
-	// legacy fixed-size).
-	Engine string
 }
 
 func (c Config) withDefaults() Config {
@@ -139,44 +86,32 @@ func (c Config) withDefaults() Config {
 	if c.Buckets <= 0 {
 		c.Buckets = 1 << 8
 	}
-	if c.Engine == "" {
-		c.Engine = "somap"
-	}
 	return c
 }
 
-// shard is one (domain, map) pair. The closures capture the concrete
-// scheme wiring exactly like the bench target registry does; newH,
-// releaseH, live and finish must only be called under the owning Store's
-// mutex.
+// shard is one (domain, map) pair. newH, releaseH, live and finish must
+// only be called under the owning Store's mutex.
 type shard struct {
-	dom      smr.Domain
+	dom      *scheme.Domain
 	pools    []ArenaPool
 	newH     func() Handle
 	releaseH func(Handle)
 	live     func() int
 	finish   func()
-	stall    func()
-	// stallRelease finishes every participant stall parked, paired so
-	// Drain (and post-stall experiments) can reach a fully reclaimed
-	// shard again.
-	stallRelease func()
-	agitate      func()
 }
 
 // wireHandles installs a shard's handle lifecycle. Handles live in a set
 // keyed by their concrete type: newH registers, releaseH finishes one
 // handle and drops it (unknown handles are ignored), finish finishes every
-// survivor and runs drainDomain, the scheme's final domain-wide
-// reclamation pass. Before releaseH existed every wiring appended handles
-// to an unbounded slice, so a server that acquired a handle per connection
-// grew its hazard registry (and with it every ScanSet built from
-// Registry.Len()) with connections ever accepted instead of peak
-// concurrency.
+// survivor and drains the domain. Before releaseH existed every wiring
+// appended handles to an unbounded slice, so a server that acquired a
+// handle per connection grew its hazard registry (and with it every
+// ScanSet built from Registry.Len()) with connections ever accepted
+// instead of peak concurrency.
 func wireHandles[H interface {
 	comparable
 	Handle
-}](s *shard, newHandle func() H, finishHandle func(H), drainDomain func()) {
+}](s *shard, newHandle func() H) {
 	live := make(map[H]struct{})
 	s.newH = func() Handle {
 		h := newHandle()
@@ -192,301 +127,49 @@ func wireHandles[H interface {
 			return
 		}
 		delete(live, hh)
-		finishHandle(hh)
+		s.dom.FinishHandle(hh)
 	}
 	s.live = func() int { return len(live) }
 	s.finish = func() {
 		for hh := range live {
-			finishHandle(hh)
+			s.dom.FinishHandle(hh)
 		}
 		clear(live)
-		if drainDomain != nil {
-			drainDomain()
-		}
+		s.dom.Drain()
 	}
 }
 
-// newShard builds one (domain, map) pair for the configured engine. The
-// somap and hashmap bodies are deliberately parallel: same domain
-// wiring, same finish/stall/agitate closures, different map constructor.
-func newShard(engine, scheme string, mode arena.Mode, buckets int) (*shard, error) {
-	switch engine {
-	case "somap":
-		return newShardSomap(scheme, mode, buckets)
-	case "hashmap":
-		return newShardHashmap(scheme, mode, buckets)
-	default:
-		return nil, fmt.Errorf("kvsvc: unknown engine %q", engine)
-	}
-}
-
-func newShardSomap(scheme string, mode arena.Mode, buckets int) (*shard, error) {
-	s := &shard{}
+// newShard builds one (domain, somap) pair: one family switch over the
+// somap variants.
+func newShard(s *scheme.Desc, mode arena.Mode, buckets int) (*shard, error) {
+	d := s.New(0)
+	sh := &shard{dom: d}
 	cfg := somap.Config{InitialBuckets: buckets}
-	switch scheme {
-	case "nr", "ebr", "pebr", "nbr", UnsafeScheme:
-		var gd smr.GuardDomain
-		switch scheme {
-		case "nr":
-			gd = nr.NewDomain()
-		case "ebr":
-			gd = ebr.NewDomain()
-		case "pebr":
-			gd = pebr.NewDomain()
-		case "nbr":
-			gd = nbr.NewDomain()
-		default:
-			gd = unsafefree.NewDomain()
-		}
+	switch s.Family {
+	case scheme.CS:
 		pool := hhslist.NewPool(mode)
 		m := somap.NewMapCS(pool, cfg)
-		s.dom = gd
-		s.pools = []ArenaPool{pool}
-		wireHandles(s,
-			func() *somap.HandleCS { return m.NewHandleCS(gd) },
-			func(h *somap.HandleCS) { finishGuard(h.Guard()) },
-			drainDomainCS(gd))
-		s.stall, s.stallRelease = stallCS(gd)
-		s.agitate = agitatorFor(gd)
-	case "hp":
-		dom := hp.NewDomain()
+		sh.pools = []ArenaPool{pool}
+		wireHandles(sh, func() *somap.HandleCS { return m.NewHandleCS(d.Guards) })
+	case scheme.HP:
 		pool := hmlist.NewPool(mode)
 		m := somap.NewMapHP(pool, cfg)
-		s.dom = dom
-		s.pools = []ArenaPool{pool}
-		wireHandles(s,
-			func() *somap.HandleHP { return m.NewHandleHP(dom) },
-			func(h *somap.HandleHP) { h.Thread().Finish() },
-			func() { dom.NewThread(0).Reclaim() })
-		s.stall, s.stallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-	case "hp++", "hp++ef":
-		dom := core.NewDomain(core.Options{EpochFence: scheme == "hp++ef"})
+		sh.pools = []ArenaPool{pool}
+		wireHandles(sh, func() *somap.HandleHP { return m.NewHandleHP(d.HP) })
+	case scheme.HPP:
 		pool := hhslist.NewPool(mode)
 		m := somap.NewMapHPP(pool, cfg)
-		s.dom = dom
-		s.pools = []ArenaPool{pool}
-		wireHandles(s,
-			func() *somap.HandleHPP { return m.NewHandleHPP(dom) },
-			func(h *somap.HandleHPP) { h.Thread().Finish() },
-			func() { dom.NewThread(0).Reclaim() })
-		s.stall, s.stallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-	case "hp-scot":
-		dom := hp.NewDomain()
-		dom.Name = "hp-scot"
+		sh.pools = []ArenaPool{pool}
+		wireHandles(sh, func() *somap.HandleHPP { return m.NewHandleHPP(d.HPP) })
+	case scheme.SCOT:
 		pool := hhslist.NewPool(mode)
 		m := somap.NewMapSCOT(pool, cfg)
-		s.dom = dom
-		s.pools = []ArenaPool{pool}
-		wireHandles(s,
-			func() *somap.HandleSCOT { return m.NewHandleSCOT(dom) },
-			func(h *somap.HandleSCOT) { h.Thread().Finish() },
-			func() { dom.NewThread(0).Reclaim() })
-		s.stall, s.stallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
+		sh.pools = []ArenaPool{pool}
+		wireHandles(sh, func() *somap.HandleSCOT { return m.NewHandleSCOT(d.HP) })
 	default:
-		return nil, fmt.Errorf("kvsvc: unknown scheme %q (valid: %s)",
-			scheme, strings.Join(Schemes, ", "))
+		return nil, fmt.Errorf("kvsvc: somap has no %s variant", s.Family)
 	}
-	return s, nil
-}
-
-func newShardHashmap(scheme string, mode arena.Mode, buckets int) (*shard, error) {
-	s := &shard{}
-	switch scheme {
-	case "nr", "ebr", "pebr", "nbr", UnsafeScheme:
-		var gd smr.GuardDomain
-		switch scheme {
-		case "nr":
-			gd = nr.NewDomain()
-		case "ebr":
-			gd = ebr.NewDomain()
-		case "pebr":
-			gd = pebr.NewDomain()
-		case "nbr":
-			gd = nbr.NewDomain()
-		default:
-			gd = unsafefree.NewDomain()
-		}
-		pool := hhslist.NewPool(mode)
-		m := hashmap.NewMapCS(pool, buckets)
-		s.dom = gd
-		s.pools = []ArenaPool{pool}
-		wireHandles(s,
-			func() *hashmap.HandleCS { return m.NewHandleCS(gd) },
-			func(h *hashmap.HandleCS) { finishGuard(h.Guard()) },
-			drainDomainCS(gd))
-		s.stall, s.stallRelease = stallCS(gd)
-		s.agitate = agitatorFor(gd)
-	case "hp":
-		dom := hp.NewDomain()
-		pool := hmlist.NewPool(mode)
-		m := hashmap.NewMapHP(pool, buckets)
-		s.dom = dom
-		s.pools = []ArenaPool{pool}
-		wireHandles(s,
-			func() *hashmap.HandleHP { return m.NewHandleHP(dom) },
-			func(h *hashmap.HandleHP) { h.Thread().Finish() },
-			func() { dom.NewThread(0).Reclaim() })
-		s.stall, s.stallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-	case "hp++", "hp++ef":
-		dom := core.NewDomain(core.Options{EpochFence: scheme == "hp++ef"})
-		pool := hhslist.NewPool(mode)
-		m := hashmap.NewMapHPP(pool, buckets)
-		s.dom = dom
-		s.pools = []ArenaPool{pool}
-		wireHandles(s,
-			func() *hashmap.HandleHPP { return m.NewHandleHPP(dom) },
-			func(h *hashmap.HandleHPP) { h.Thread().Finish() },
-			func() { dom.NewThread(0).Reclaim() })
-		s.stall, s.stallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-	case "hp-scot":
-		dom := hp.NewDomain()
-		dom.Name = "hp-scot"
-		pool := hhslist.NewPool(mode)
-		m := hashmap.NewMapSCOT(pool, buckets)
-		s.dom = dom
-		s.pools = []ArenaPool{pool}
-		wireHandles(s,
-			func() *hashmap.HandleSCOT { return m.NewHandleSCOT(dom) },
-			func(h *hashmap.HandleSCOT) { h.Thread().Finish() },
-			func() { dom.NewThread(0).Reclaim() })
-		s.stall, s.stallRelease = stallHazard(func() hazardThread { return dom.NewThread(1) })
-	default:
-		return nil, fmt.Errorf("kvsvc: unknown scheme %q (valid: %s)",
-			scheme, strings.Join(Schemes, ", "))
-	}
-	return s, nil
-}
-
-// agitatorFor returns one reclamation-pressure pulse for CS domains (the
-// stress harness's storm injector): an epoch-advance/ejection attempt.
-// The closure owns its guard and must be called from a single goroutine.
-func agitatorFor(d smr.Domain) func() {
-	switch dom := d.(type) {
-	case *ebr.Domain:
-		g := dom.NewGuardEBR()
-		return func() { g.Collect() }
-	case *pebr.Domain:
-		g := dom.NewGuardPEBR(1)
-		return func() { g.Collect() }
-	case *nbr.Domain:
-		g := dom.NewGuardNBR(1)
-		return func() { g.Collect() }
-	}
-	return nil
-}
-
-// finishGuard releases a CS-style guard. EBR/PEBR guards have a full
-// Finish lifecycle: the epoch record is recycled, shields are revoked and
-// leftover bag entries are orphaned for a surviving guard to free. NR and
-// unsafefree guards hold nothing.
-func finishGuard(g smr.Guard) {
-	switch gg := g.(type) {
-	case *ebr.Guard:
-		gg.Finish()
-	case *pebr.Guard:
-		gg.Finish()
-	case *nbr.Guard:
-		gg.Finish()
-	}
-}
-
-// drainRounds is how many collection passes the shard-finish reclamation
-// sweeps run. Epoch schemes need ~3 passes for a freshly retired node
-// (advance to e+1, e+2, then free); the extra headroom absorbs adopted
-// orphans that re-enter the bag mid-sweep. Bounded so a stalled pin (the
-// robustness adversary) cannot hang Drain.
-const drainRounds = 8
-
-// drainDomainCS returns the post-release reclamation pass for CS domains:
-// a fresh temporary guard adopts everything the finished handles orphaned
-// and collects until the epoch outruns the retire horizon. nr and
-// unsafefree domains free immediately (or never), so there is nothing to
-// drain.
-func drainDomainCS(gd smr.GuardDomain) func() {
-	switch dom := gd.(type) {
-	case *ebr.Domain:
-		return func() {
-			g := dom.NewGuardEBR()
-			for i := 0; i < drainRounds; i++ {
-				g.Collect()
-			}
-			g.Finish()
-		}
-	case *pebr.Domain:
-		return func() {
-			g := dom.NewGuardPEBR(1)
-			for i := 0; i < drainRounds; i++ {
-				g.Collect()
-			}
-			g.Finish()
-		}
-	case *nbr.Domain:
-		return func() {
-			g := dom.NewGuardNBR(1)
-			for i := 0; i < drainRounds; i++ {
-				g.Collect()
-			}
-			g.Finish()
-		}
-	}
-	return nil
-}
-
-// stallCS returns the paired park/release closures for CS domains: stall
-// pins a fresh guard that never progresses (the §4.4 robustness
-// adversary) and stallRelease finishes every guard stall parked so the
-// shard can drain afterwards. Both must be called from one goroutine.
-func stallCS(gd smr.GuardDomain) (stall, release func()) {
-	var parked []smr.Guard
-	stall = func() {
-		g := gd.NewGuard(1)
-		g.Pin()
-		parked = append(parked, g)
-	}
-	release = func() {
-		for _, g := range parked {
-			switch gg := g.(type) {
-			case *ebr.Guard:
-				gg.Finish()
-			case *pebr.Guard:
-				gg.Finish()
-			case *nbr.Guard:
-				gg.Finish()
-			default:
-				gg.Unpin()
-			}
-		}
-		parked = nil
-	}
-	return stall, release
-}
-
-// hazardThread is the slot surface shared by *hp.Thread and
-// *core.Thread, so one stall helper covers both hazard families.
-type hazardThread interface {
-	Protect(i int, ref uint64)
-	Clear(i int)
-	Finish()
-}
-
-// stallHazard is stallCS for the hazard families: stall occupies one
-// hazard slot with a never-cleared announcement, release clears the slot
-// and finishes the thread.
-func stallHazard(newThread func() hazardThread) (stall, release func()) {
-	var parked []hazardThread
-	stall = func() {
-		t := newThread()
-		t.Protect(0, 1)
-		parked = append(parked, t)
-	}
-	release = func() {
-		for _, t := range parked {
-			t.Clear(0)
-			t.Finish()
-		}
-		parked = nil
-	}
-	return stall, release
+	return sh, nil
 }
 
 // Store is the sharded key-value store: Config.Shards independent
@@ -501,12 +184,20 @@ type Store struct {
 	drained bool
 }
 
-// NewStore builds a store with cfg (zero fields take defaults).
+// NewStore builds a store with cfg (zero fields take defaults). It
+// accepts the servable schemes and the unsafefree control, which the
+// stress harness runs as a must-fail cell; somap has no variant that
+// elides SCOT validation, so the SCOT control is refused.
 func NewStore(cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
+	s, ok := scheme.Lookup(cfg.Scheme)
+	if !ok || !s.Servable && !s.Control || s.SkipValidation {
+		return nil, fmt.Errorf("kvsvc: unknown scheme %q (valid: %s)", cfg.Scheme,
+			strings.Join(scheme.Names(func(s *scheme.Desc) bool { return s.Servable }), ", "))
+	}
 	st := &Store{cfg: cfg}
 	for i := 0; i < cfg.Shards; i++ {
-		sh, err := newShard(cfg.Engine, cfg.Scheme, cfg.Mode, cfg.Buckets)
+		sh, err := newShard(s, cfg.Mode, cfg.Buckets)
 		if err != nil {
 			return nil, err
 		}
@@ -520,9 +211,6 @@ func (s *Store) NumShards() int { return len(s.shards) }
 
 // Scheme returns the configured scheme name.
 func (s *Store) Scheme() string { return s.cfg.Scheme }
-
-// Engine returns the configured shard-engine name.
-func (s *Store) Engine() string { return s.cfg.Engine }
 
 // shardMix is a splitmix64 finalizer on a different stream than the
 // in-map bucket hash (see the package comment for why that matters).
@@ -771,12 +459,12 @@ func (s *Store) Drain() {
 
 // Stall parks a never-progressing participant on shard 0's domain (the
 // §4.4 robustness adversary, scoped to one shard by construction).
-func (s *Store) Stall() { s.shards[0].stall() }
+func (s *Store) Stall() { s.shards[0].dom.Stall() }
 
 // StallRelease finishes every participant Stall parked, letting shard 0
 // reclaim its backlog; pair every Stall with a StallRelease before Drain
 // when the store must end fully reclaimed.
-func (s *Store) StallRelease() { s.shards[0].stallRelease() }
+func (s *Store) StallRelease() { s.shards[0].dom.StallRelease() }
 
 // Agitator returns a reclamation-pressure pulse covering every shard, or
 // nil when the scheme has no external collection pulse (HP family, NR).
@@ -784,8 +472,8 @@ func (s *Store) StallRelease() { s.shards[0].stallRelease() }
 func (s *Store) Agitator() func() {
 	var pulses []func()
 	for _, sh := range s.shards {
-		if sh.agitate != nil {
-			pulses = append(pulses, sh.agitate)
+		if sh.dom.Agitate != nil {
+			pulses = append(pulses, sh.dom.Agitate)
 		}
 	}
 	if len(pulses) == 0 {

@@ -5,13 +5,17 @@ import (
 	"testing"
 
 	"github.com/gosmr/gosmr/internal/arena"
+	"github.com/gosmr/gosmr/internal/scheme"
 )
 
 func TestStoreBasicAllSchemes(t *testing.T) {
-	for _, scheme := range Schemes {
-		scheme := scheme
-		t.Run(scheme, func(t *testing.T) {
-			st, err := NewStore(Config{Shards: 4, Scheme: scheme, Mode: arena.ModeDetect, Buckets: 32})
+	for _, s := range scheme.All() {
+		if !s.Servable {
+			continue
+		}
+		s := s
+		t.Run(s.Name, func(t *testing.T) {
+			st, err := NewStore(Config{Shards: 4, Scheme: s.Name, Mode: arena.ModeDetect, Buckets: 32})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,19 +46,28 @@ func TestStoreBasicAllSchemes(t *testing.T) {
 			if uaf, df := st.BugCounts(); uaf != 0 || df != 0 {
 				t.Fatalf("arena violations: uaf=%d doublefree=%d", uaf, df)
 			}
+			// The finish path: every handle finished, every retired node
+			// handed back (nr never frees).
+			if n := st.LiveHandles(); n != 0 {
+				t.Fatalf("%d handles live after Drain", n)
+			}
+			if unr := st.Unreclaimed(); unr != 0 && !s.NeverFrees {
+				t.Fatalf("%d nodes unreclaimed after Drain", unr)
+			}
 		})
 	}
 }
 
 func TestStoreRejectsUnknownScheme(t *testing.T) {
-	if _, err := NewStore(Config{Scheme: "nosuch"}); err == nil {
-		t.Fatal("unknown scheme accepted")
+	for _, name := range []string{"nosuch", "rc", scheme.ScotNoValidate} {
+		if _, err := NewStore(Config{Scheme: name}); err == nil {
+			t.Fatalf("scheme %q accepted", name)
+		}
 	}
-	if ValidScheme(UnsafeScheme) {
-		t.Fatal("unsafefree reported servable")
-	}
-	if !ValidScheme("hp++") {
-		t.Fatal("hp++ reported unservable")
+	// The unsafefree control builds (the stress harness's must-fail
+	// kvmap cell) but is not servable.
+	if _, err := NewStore(Config{Scheme: scheme.Unsafe}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -407,7 +407,7 @@ func TestNetpollChurnStabilizesEBRRecords(t *testing.T) {
 			tc.recv(1)
 			tc.c.Close()
 
-			dom := st.shards[0].dom.(*ebr.Domain)
+			dom := st.shards[0].dom.Guards.(*ebr.Domain)
 			churnConns(t, srv, 3)
 			midTotal, _ := dom.Records()
 			churnConns(t, srv, 30)

@@ -1,47 +1,29 @@
-// External test package: kvsvc itself must not import internal/bench
-// (bench is the figure harness, kvsvc the service layer), but the pin
-// below needs both sides of the relation in one place.
+// External test package: the check reads the scheme table the way an
+// operator reading a gosmrd failure would.
 package kvsvc_test
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
-	"github.com/gosmr/gosmr/internal/bench"
 	"github.com/gosmr/gosmr/internal/kvsvc"
+	"github.com/gosmr/gosmr/internal/scheme"
 )
 
-// TestSchemesMatchBenchRegistry pins kvsvc.Schemes to its documented
-// relation: the bench registry minus rc. The list has to be a literal
-// (kvsvc cannot import bench), which is exactly the hand-maintained-copy
-// shape that silently dropped hp++ef from the default sweeps in PR 8 —
-// so this test is what turns "add a scheme to bench.Schemes" into a
-// loud build break here instead of a quietly unreachable store engine.
-func TestSchemesMatchBenchRegistry(t *testing.T) {
-	var want []string
-	for _, s := range bench.Schemes {
-		if s == "rc" {
-			continue // rc guards retain cross-bucket; no store engine
-		}
-		want = append(want, s)
-	}
-	if !reflect.DeepEqual(kvsvc.Schemes, want) {
-		t.Fatalf("kvsvc.Schemes = %v, want bench registry minus rc = %v",
-			kvsvc.Schemes, want)
-	}
-}
-
-// TestUnknownSchemeErrorListsAll pins the other half of satellite 2:
-// rejecting an unknown scheme must name every valid one, so operators
-// reading a gosmrd/kvload failure see the real current list instead of
-// a stale help string.
+// TestUnknownSchemeErrorListsAll: rejecting an unknown scheme must name
+// every servable scheme of the table, so operators reading a
+// gosmrd/kvload failure see the real current list instead of a stale
+// help string.
 func TestUnknownSchemeErrorListsAll(t *testing.T) {
 	_, err := kvsvc.NewStore(kvsvc.Config{Scheme: "nosuch"})
 	if err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
-	for _, s := range kvsvc.Schemes {
+	servable := scheme.Names(func(s *scheme.Desc) bool { return s.Servable })
+	if len(servable) == 0 {
+		t.Fatal("the table has no servable scheme")
+	}
+	for _, s := range servable {
 		if !strings.Contains(err.Error(), s) {
 			t.Fatalf("error %q does not mention valid scheme %q", err, s)
 		}

@@ -529,7 +529,6 @@ func (s *Server) Served() int64 { return s.served.Load() }
 // counters, plus one smr.Stats row per shard with arena gauges filled.
 type AdminStats struct {
 	Scheme        string `json:"scheme"`
-	Engine        string `json:"engine"`
 	Shards        int    `json:"shards"`
 	AcceptedConns int64  `json:"accepted_conns"`
 	LiveConns     int64  `json:"live_conns"`
@@ -597,7 +596,6 @@ func (s *Server) Snapshot() AdminStats {
 	}
 	return AdminStats{
 		Scheme:                  s.store.Scheme(),
-		Engine:                  s.store.Engine(),
 		Shards:                  s.store.NumShards(),
 		AcceptedConns:           s.accepted.Load(),
 		LiveConns:               s.liveConns.Load(),

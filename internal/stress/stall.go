@@ -9,6 +9,7 @@ import (
 
 	"github.com/gosmr/gosmr/internal/arena"
 	"github.com/gosmr/gosmr/internal/bench"
+	"github.com/gosmr/gosmr/internal/scheme"
 )
 
 // This file is the first-class stalled-thread experiment (§4.4 of the
@@ -36,10 +37,10 @@ type StallOptions struct {
 	// DS is the map structure under test. Default "hmlist": the one
 	// structure every scheme (including plain HP) can run.
 	DS string
-	// Schemes to sweep. Default: every reclaiming scheme applicable to
-	// DS (nr and rc are excluded — nr never frees, so "peak unreclaimed"
-	// is meaningless, and rc's traces make the comparison apples-to-
-	// oranges; pass them explicitly to include them anyway).
+	// Schemes to sweep. Default: DefaultStallSchemes(DS) (nr and rc are
+	// excluded — nr never frees, so "peak unreclaimed" is meaningless,
+	// and rc's gauge counts deferred decrements, not nodes; pass them
+	// explicitly to include them anyway).
 	Schemes []string
 	// Workers is the mutating worker count (the parked participant is
 	// extra). Ops is the per-worker write-only op count.
@@ -71,25 +72,13 @@ func (o StallOptions) withDefaults() StallOptions {
 	return o
 }
 
-// DefaultStallSchemes derives the stall sweep's scheme list from the
-// bench.Schemes registry: every reclaiming scheme applicable to ds, in
-// registry order. It is intentionally NOT a literal — PR 8's hp++ef
-// incident (a hand-maintained copy that silently dropped the new scheme
-// from BENCH_stall.json) is the bug class this derivation removes; a pin
-// test mirrors TestDefaultSweepSchemesMatchRegistry against it.
+// DefaultStallSchemes lists the schemes of the table whose backlog the
+// stall experiment measures (scheme.Desc.Stalled) and that apply to ds,
+// in table order.
 func DefaultStallSchemes(ds string) []string {
-	var out []string
-	for _, s := range bench.Schemes {
-		// nr never frees, so "peak unreclaimed" is meaningless; rc's
-		// traces make the comparison apples-to-oranges (see StallOptions).
-		if s == "nr" || s == "rc" {
-			continue
-		}
-		if bench.Applicable(ds, s) {
-			out = append(out, s)
-		}
-	}
-	return out
+	return scheme.Names(func(s *scheme.Desc) bool {
+		return s.Stalled != scheme.Unmeasured && bench.Applicable(ds, s.Name)
+	})
 }
 
 // StallCell is one scheme's stalled-thread measurement.

@@ -3,53 +3,9 @@ package stress
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"testing"
 	"time"
-
-	"github.com/gosmr/gosmr/internal/bench"
 )
-
-// TestStallSchemesMatchRegistry pins the stall artifact's default scheme
-// list to the bench.Schemes registry, mirroring the bench package's
-// TestDefaultSweepSchemesMatchRegistry: RunStallCell/StallJSON once
-// carried a hand-maintained literal, the exact bug class that silently
-// dropped hp++ef from the default figure sweeps when it was added to the
-// registry. Adding a ninth scheme with no other edits must land a row in
-// BENCH_stall.json (unless it is nr/rc-like and documented in
-// StallOptions), and this test is what enforces that.
-func TestStallSchemesMatchRegistry(t *testing.T) {
-	got := StallOptions{}.withDefaults().Schemes
-	var want []string
-	for _, s := range bench.Schemes {
-		if s == "nr" || s == "rc" {
-			continue // documented exclusions: never frees / apples-to-oranges
-		}
-		if bench.Applicable("hmlist", s) {
-			want = append(want, s)
-		}
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("default stall schemes %v diverge from registry-derived %v", got, want)
-	}
-	// Every current registry scheme outside the documented exclusions
-	// must be present by *name* too, so a scheme inapplicable to the
-	// default DS fails loudly here instead of dropping out silently.
-	for _, s := range bench.Schemes {
-		if s == "nr" || s == "rc" {
-			continue
-		}
-		found := false
-		for _, g := range got {
-			if g == s {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("registry scheme %q missing from the default stall sweep %v", s, got)
-		}
-	}
-}
 
 // TestStallCellScot is a quick end-to-end of the new hp-scot stall row:
 // the parked writer bounds the backlog and the cell drains to zero.
@@ -75,7 +31,7 @@ func TestStallCellScot(t *testing.T) {
 
 // TestStallJSONContainsRegistrySchemes runs a minimal StallJSON sweep and
 // asserts every default scheme produced both a stall cell and a
-// throughput row — the artifact-level half of the registry pin.
+// throughput row.
 func TestStallJSONContainsRegistrySchemes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full artifact sweep in long mode only")

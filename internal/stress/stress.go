@@ -32,6 +32,7 @@ import (
 	"github.com/gosmr/gosmr/internal/arena"
 	"github.com/gosmr/gosmr/internal/bench"
 	"github.com/gosmr/gosmr/internal/linchk"
+	"github.com/gosmr/gosmr/internal/scheme"
 	"github.com/gosmr/gosmr/internal/smr"
 )
 
@@ -45,38 +46,25 @@ type Cell struct {
 
 func (c Cell) String() string { return c.DS + "/" + c.Scheme }
 
-// Matrix enumerates the full safety matrix: all seven map-style
-// structures under every applicable scheme, the MS queue under the HP
-// family, the Treiber stack under the HP family and every CS scheme —
-// and, when includeUnsafe is set, an unsafefree control cell for every
-// structure with a CS variant (the cells that MUST fail).
+// Matrix enumerates the full safety matrix: every map-style structure
+// under every applicable scheme, then the MS queue and the Treiber
+// stack — and, when includeUnsafe is set, each structure's must-fail
+// control cells (the unsafefree control wherever a CS variant exists,
+// the SCOT control where the SCOT variant can elide its handshake).
 func Matrix(includeUnsafe bool) []Cell {
 	var cells []Cell
+	add := func(ds, kind string) {
+		for _, s := range scheme.All() {
+			if (!s.Control || includeUnsafe) && bench.Applicable(ds, s.Name) {
+				cells = append(cells, Cell{ds, s.Name, kind})
+			}
+		}
+	}
 	for _, ds := range bench.DataStructures() {
-		for _, s := range bench.Schemes {
-			if bench.Applicable(ds, s) {
-				cells = append(cells, Cell{ds, s, "map"})
-			}
-		}
-		if includeUnsafe {
-			cells = append(cells, Cell{ds, bench.UnsafeScheme, "map"})
-			if ds == "hhslist" {
-				// The SCOT must-fail control: hp-scot with the handshake
-				// elided. One cell suffices — somap and hashmap reuse the
-				// same list code.
-				cells = append(cells, Cell{ds, bench.ScotUnsafeScheme, "map"})
-			}
-		}
+		add(ds, "map")
 	}
-	for _, s := range bench.QueueSchemes {
-		cells = append(cells, Cell{"msqueue", s, "queue"})
-	}
-	for _, s := range bench.StackSchemes {
-		cells = append(cells, Cell{"tstack", s, "stack"})
-	}
-	if includeUnsafe {
-		cells = append(cells, Cell{"tstack", bench.UnsafeScheme, "stack"})
-	}
+	add("msqueue", "queue")
+	add("tstack", "stack")
 	return cells
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/gosmr/gosmr/internal/bench"
+	"github.com/gosmr/gosmr/internal/scheme"
 )
 
 func testOpts(ops int) Options {
@@ -35,7 +36,7 @@ func TestMatrixShape(t *testing.T) {
 		t.Fatalf("matrix missing a kind: %v", kinds)
 	}
 	for _, c := range safe {
-		if c.Scheme == bench.UnsafeScheme || c.Scheme == bench.ScotUnsafeScheme {
+		if s, _ := scheme.Lookup(c.Scheme); s.Control {
 			t.Fatalf("Matrix(false) contains unsafe cell %v", c)
 		}
 	}
@@ -121,14 +122,14 @@ func TestFullMatrixSafe(t *testing.T) {
 // keep it deterministic-in-practice on any core count.
 func TestUnsafeCellsFlagged(t *testing.T) {
 	cells := []Cell{
-		{"hmlist", bench.UnsafeScheme, "map"},
-		{"somap", bench.UnsafeScheme, "map"},
-		{"tstack", bench.UnsafeScheme, "stack"},
+		{"hmlist", scheme.Unsafe, "map"},
+		{"somap", scheme.Unsafe, "map"},
+		{"tstack", scheme.Unsafe, "stack"},
 		// The SCOT control: hazards announced, handshake skipped. The
 		// parked reader resumes through links frozen while the chain was
 		// unlinked, retired and freed around it — validation is the only
 		// thing standing between that walk and a use-after-free.
-		{"hhslist", bench.ScotUnsafeScheme, "map"},
+		{"hhslist", scheme.ScotNoValidate, "map"},
 	}
 	for _, c := range cells {
 		c := c

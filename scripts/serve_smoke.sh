@@ -16,7 +16,7 @@
 # otherwise), and the drain must stay clean with zero arena violations.
 #
 # Phase 3 is the resize gate: gosmrd starts with 8-bucket shard
-# directories (somap engine) and kvload preloads 200k distinct keys —
+# directories and kvload preloads 200k distinct keys —
 # hundreds of directory doublings and dummy splices under live detect-
 # mode traffic — then runs a measured mix over the grown map. The drain
 # must stay clean with zero unreclaimed nodes and zero violations.
@@ -118,7 +118,7 @@ echo "serve-smoke: phase 2 OK (shed_total=$SHED, 100% completion via retries, cl
 # every dereference; the measured mix then runs over the grown map.
 PRELOAD=200000
 "$BIN/gosmrd" -addr "$ADDR" -admin "$ADMIN" -shards 8 -scheme hp++ -mode detect \
-    -engine somap -buckets 8 \
+    -buckets 8 \
     $NETPOLL_FLAG \
     >"$BIN/gosmrd3.json" 2>"$BIN/gosmrd3.log" &
 SRV_PID=$!
